@@ -49,6 +49,7 @@ use blockoptr::pipeline::Analysis;
 use blockoptr::plan::OptimizationPlan;
 use blockoptr::session::{Analyzer, WindowPolicy};
 use fabric_sim::config::NetworkConfig;
+use fabric_sim::sim::SimOutput;
 use serde::Serialize;
 use serde_json::Value;
 use std::process::ExitCode;
@@ -532,6 +533,16 @@ fn cmd_spec(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
+/// What `optimize` derived its plan from. A baseline run is analyzed again
+/// only if the dry-run report renders it; executing the plan needs just its
+/// report.
+enum PlanSource {
+    /// The user's exported log (`--log`), already analyzed.
+    Log(Box<Analysis>),
+    /// A baseline simulation of the spec.
+    Baseline(Box<SimOutput>),
+}
+
 fn cmd_optimize(args: &[String]) -> Result<(), String> {
     let args = Args::parse(
         args,
@@ -608,7 +619,7 @@ fn cmd_optimize(args: &[String]) -> Result<(), String> {
     // 1. Derive the recommendations: from the user's exported log when
     //    --log is given (the bring-your-own-log loop), otherwise from a
     //    baseline simulation of the spec.
-    let (plan, analysis, reused_baseline) = match args.value("log") {
+    let (plan, source) = match args.value("log") {
         Some(path) => {
             let analysis = analyze_log(load(path)?, args.switch("auto-tune"))?;
             eprintln!(
@@ -616,16 +627,16 @@ fn cmd_optimize(args: &[String]) -> Result<(), String> {
                 analysis.log.len(),
                 analysis.log.block_count()
             );
-            (OptimizationPlan::from_analysis(&analysis), analysis, None)
+            (
+                OptimizationPlan::from_analysis(&analysis),
+                PlanSource::Log(Box::new(analysis)),
+            )
         }
         None => {
             let (plan, output) =
                 OptimizationPlan::from_spec(&spec, &analyzer).map_err(|e| e.to_string())?;
             eprintln!("simulated {}: {}", spec.name, output.report.figure_row());
-            let analysis = analyzer
-                .analyze_ledger(&output.ledger)
-                .map_err(|e| e.to_string())?;
-            (plan, analysis, Some(output.report))
+            (plan, PlanSource::Baseline(Box::new(output)))
         }
     };
 
@@ -644,6 +655,13 @@ fn cmd_optimize(args: &[String]) -> Result<(), String> {
                 serde_json::to_string_pretty(&plan).map_err(|e| e.to_string())?
             );
         } else {
+            // Only the rendered report needs the baseline's full analysis.
+            let analysis = match source {
+                PlanSource::Log(analysis) => *analysis,
+                PlanSource::Baseline(output) => analyzer
+                    .analyze_ledger(&output.ledger)
+                    .map_err(|e| e.to_string())?,
+            };
             let bundle = spec.build().map_err(|e| e.to_string())?.0;
             print!("{}", blockoptr::report::render(&analysis));
             print!("{}", blockoptr::report::render_plan(&plan, Some(&bundle)));
@@ -654,9 +672,11 @@ fn cmd_optimize(args: &[String]) -> Result<(), String> {
     // 3. Close the loop: apply each action, re-run (once per seed, each
     //    seed regenerating the workload from the re-seeded spec), measure
     //    the deltas.
-    let outcome = match reused_baseline {
-        Some(report) => plan.execute_spec_from_with(&spec, report, &plan_config),
-        None => plan.execute_spec_with(&spec, &plan_config),
+    let outcome = match source {
+        PlanSource::Baseline(output) => {
+            plan.execute_spec_from_with(&spec, output.report, &plan_config)
+        }
+        PlanSource::Log(_) => plan.execute_spec_with(&spec, &plan_config),
     }
     .map_err(|e| e.to_string())?;
     if let Some(path) = args.value("emit-spec") {

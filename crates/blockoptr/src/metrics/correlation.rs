@@ -530,7 +530,7 @@ pub fn value_delta(a: Option<&Value>, b: Option<&Value>) -> Option<i64> {
                 return None;
             }
             let mut delta: Option<i64> = None;
-            for (k, va) in ma {
+            for (k, va) in ma.iter() {
                 let vb = &mb[k];
                 if va == vb {
                     continue;
@@ -651,12 +651,12 @@ mod tests {
         v2.insert("voters".to_string(), Value::Str("a,b".into()));
         let log = log_of(vec![
             Rec::new(0, "vote")
-                .writes_value("p", Value::Map(v1))
+                .writes_value("p", Value::Map(v1.into()))
                 .reads(&["p"])
                 .status(TxStatus::MvccReadConflict)
                 .build(),
             Rec::new(1, "vote")
-                .writes_value("p", Value::Map(v2))
+                .writes_value("p", Value::Map(v2.into()))
                 .reads(&["p"])
                 .build(),
         ]);
@@ -682,7 +682,7 @@ mod tests {
         let mut b = a.clone();
         b.insert("plays".to_string(), Value::Int(4));
         assert_eq!(
-            value_delta(Some(&Value::Map(a)), Some(&Value::Map(b))),
+            value_delta(Some(&Value::Map(a.into())), Some(&Value::Map(b.into()))),
             Some(1)
         );
     }

@@ -1,6 +1,7 @@
 //! End-to-end tests of the `blockoptr` binary: flag validation (notably the
 //! `--window 0` guard) and the `watch --live` committed-block pipeline.
 
+use fabric_sim::types::Value;
 use std::process::{Command, Output};
 
 fn blockoptr(args: &[&str]) -> Output {
@@ -327,4 +328,31 @@ fn optimize_example_outage_spec_fires_resilience_rules() {
     let text = stdout(&out);
     assert!(text.contains("Retry budget tuning"), "{text}");
     assert!(text.contains("Endorsement policy relaxation"), "{text}");
+}
+
+/// A frozen LAP schedule with malformed calls (an unknown activity, a
+/// non-string employee id, a missing application id) replays: the contract
+/// rejects each one during endorsement, as Fabric chaincode returns an
+/// error, instead of crashing the tool.
+#[test]
+fn optimize_lap_schedule_with_bad_calls_aborts_them() {
+    let dir = std::env::temp_dir().join("blockoptr_cli_lap_badcalls");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("lap.json");
+    let path = path.to_str().unwrap();
+    let out = blockoptr(&["spec", "lap", "--txs", "60", "--freeze", "--out", path]);
+    assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
+    let mut spec =
+        workload::ScenarioSpec::from_json(&std::fs::read_to_string(path).unwrap()).unwrap();
+    let workload::WorkloadSpec::Schedule(schedule) = &mut spec.workload else {
+        panic!("expected a frozen schedule");
+    };
+    schedule.requests[3].activity = "approveAll".into();
+    schedule.requests[5].args = vec![Value::Int(7), "APP00001".into()].into();
+    schedule.requests[7].args = vec!["E001".into()].into();
+    std::fs::write(path, spec.to_json()).unwrap();
+
+    let out = blockoptr(&["optimize", "--spec", path, "--dry-run"]);
+    assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
+    assert!(stdout(&out).contains("recommendations"), "{}", stdout(&out));
 }

@@ -35,10 +35,10 @@ fn arb_value() -> impl Strategy<Value = Value> {
             let mut m = BTreeMap::new();
             m.insert("count".to_string(), Value::Int(n as i64));
             m.insert("tag".to_string(), Value::Str(s));
-            Value::Map(m)
+            Value::Map(m.into())
         }),
         prop::collection::vec((0u64..100).prop_map(|n| Value::Int(n as i64)), 0..3)
-            .prop_map(Value::List),
+            .prop_map(|items| Value::List(items.into())),
     ]
 }
 

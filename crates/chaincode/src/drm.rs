@@ -20,6 +20,7 @@
 
 use crate::{arg_int, arg_str, Contract, ExecStatus, TxContext, Value};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// Delta keys aggregated per `calcRevenue` page (Fabric-style paginated
 /// scan); bounds the aggregation cost as the delta set grows.
@@ -30,14 +31,14 @@ fn record(plays: i64, meta: &str, holders: &str) -> Value {
     m.insert("plays".to_string(), Value::Int(plays));
     m.insert("meta".to_string(), Value::Str(meta.to_string()));
     m.insert("holders".to_string(), Value::Str(holders.to_string()));
-    Value::Map(m)
+    Value::Map(m.into())
 }
 
 fn bump_plays(v: Option<Value>) -> Value {
     match v {
         Some(Value::Map(mut m)) => {
             let plays = m.get("plays").and_then(Value::as_int).unwrap_or(0);
-            m.insert("plays".to_string(), Value::Int(plays + 1));
+            Arc::make_mut(&mut m).insert("plays".to_string(), Value::Int(plays + 1));
             Value::Map(m)
         }
         _ => record(1, "", ""),

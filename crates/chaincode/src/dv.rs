@@ -14,6 +14,7 @@
 
 use crate::{arg_str, Contract, ExecStatus, TxContext, Value};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// The base digital-voting contract (namespace `dv`): party-keyed tallies.
 #[derive(Debug, Default, Clone, Copy)]
@@ -29,7 +30,7 @@ impl DvContract {
         m.insert("name".to_string(), Value::Str(party.to_string()));
         m.insert("votes".to_string(), Value::Int(0));
         m.insert("voters".to_string(), Value::Str(String::new()));
-        Value::Map(m)
+        Value::Map(m.into())
     }
 }
 
@@ -43,9 +44,10 @@ impl Contract for DvContract {
             "vote" => {
                 let party = arg_str(args, 0, "party");
                 let voter = arg_str(args, 1, "voter");
-                let Some(Value::Map(mut m)) = ctx.get_state(party) else {
+                let Some(Value::Map(m)) = ctx.get_state(party) else {
                     return ExecStatus::Abort(format!("unknown party {party}"));
                 };
+                let mut m = Arc::unwrap_or_clone(m);
                 let votes = m.get("votes").and_then(Value::as_int).unwrap_or(0);
                 m.insert("votes".to_string(), Value::Int(votes + 1));
                 // Recording the voter prevents double voting and makes the
@@ -63,7 +65,7 @@ impl Contract for DvContract {
                         format!("{voters},{voter}")
                     }),
                 );
-                ctx.put_state(party, Value::Map(m));
+                ctx.put_state(party, Value::Map(m.into()));
                 ExecStatus::Ok
             }
             "queryParties" => {

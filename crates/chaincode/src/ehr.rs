@@ -17,6 +17,7 @@
 
 use crate::{arg_str, Contract, ExecStatus, TxContext, Value};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// The EHR contract; `pruned` selects the anomalous-path behaviour.
 #[derive(Debug, Clone, Copy)]
@@ -46,12 +47,12 @@ impl EhrContract {
             "record".to_string(),
             Value::Str(format!("record:{patient}")),
         );
-        Value::Map(m)
+        Value::Map(m.into())
     }
 
     fn load(ctx: &mut TxContext<'_>, patient: &str) -> Option<BTreeMap<String, Value>> {
         ctx.get_state(patient).and_then(|v| match v {
-            Value::Map(m) => Some(m),
+            Value::Map(m) => Some(Arc::unwrap_or_clone(m)),
             _ => None,
         })
     }
@@ -95,7 +96,7 @@ impl Contract for EhrContract {
                     list.push(institute.to_string());
                 }
                 m.insert("access".to_string(), Value::Str(list.join(",")));
-                ctx.put_state(patient, Value::Map(m));
+                ctx.put_state(patient, Value::Map(m.into()));
                 ExecStatus::Ok
             }
             "revokeAccess" => {
@@ -109,7 +110,7 @@ impl Contract for EhrContract {
                 if had {
                     list.retain(|i| i != institute);
                     m.insert("access".to_string(), Value::Str(list.join(",")));
-                    ctx.put_state(patient, Value::Map(m));
+                    ctx.put_state(patient, Value::Map(m.into()));
                     ExecStatus::Ok
                 } else if self.pruned {
                     ExecStatus::Abort(format!("revoke without grant: {institute} on {patient}"))
@@ -133,7 +134,7 @@ impl Contract for EhrContract {
                     "record".to_string(),
                     Value::Str(format!("record:{patient}:{nonce}")),
                 );
-                ctx.put_state(patient, Value::Map(m));
+                ctx.put_state(patient, Value::Map(m.into()));
                 ExecStatus::Ok
             }
             other => panic!("ehr: unknown activity {other:?}"),
@@ -162,7 +163,7 @@ mod tests {
         let mut m = BTreeMap::new();
         m.insert("access".to_string(), Value::Str("inst1".into()));
         m.insert("record".to_string(), Value::Str("r".into()));
-        s.seed("ehr/PT0002".into(), Value::Map(m));
+        s.seed("ehr/PT0002".into(), Value::Map(m.into()));
         s
     }
 

@@ -16,8 +16,9 @@
 //! `create`, `submit`, `handleLeads`, `createOffer`, `sendOffer`,
 //! `validate`, `approve`, `decline`, `cancel`, `queryEmployee`.
 
-use crate::{arg_str, Contract, ExecStatus, TxContext, Value};
+use crate::{try_arg_str, Contract, ExecStatus, TxContext, Value};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// The loan-process activity names, in canonical flow order.
 pub const LAP_ACTIVITIES: [&str; 9] = [
@@ -39,7 +40,47 @@ fn application_entry(app: &str, employee: &str, amount: i64, status: &str) -> Va
     m.insert("loan_type".to_string(), Value::Str("consumer".to_string()));
     m.insert("amount".to_string(), Value::Int(amount));
     m.insert("status".to_string(), Value::Str(status.to_string()));
-    Value::Map(m)
+    Value::Map(m.into())
+}
+
+/// A well-formed call to either LAP data model.
+enum LapCall<'a> {
+    /// `queryEmployee(employee)`: read-only reporting.
+    Query { employee: &'a str },
+    /// A loan-process step `(employee, application, amount?)`.
+    Step {
+        activity: &'a str,
+        employee: &'a str,
+        app: &'a str,
+        amount: i64,
+    },
+}
+
+impl<'a> LapCall<'a> {
+    /// Parse an invocation, or give the reason to reject it — an unknown
+    /// activity or a missing / non-string id — as Fabric chaincode returns
+    /// an error instead of crashing the peer.
+    fn parse(activity: &'a str, args: &'a [Value]) -> Result<Self, String> {
+        if activity == "queryEmployee" {
+            let employee = try_arg_str(args, 0, "employee")?;
+            return Ok(LapCall::Query { employee });
+        }
+        if !LAP_ACTIVITIES.contains(&activity) {
+            return Err(format!("lap: unknown activity {activity:?}"));
+        }
+        Ok(LapCall::Step {
+            activity,
+            employee: try_arg_str(args, 0, "employee")?,
+            app: try_arg_str(args, 1, "application")?,
+            amount: args.get(2).and_then(Value::as_int).unwrap_or(0),
+        })
+    }
+}
+
+fn lap_activities() -> Vec<&'static str> {
+    let mut acts = LAP_ACTIVITIES.to_vec();
+    acts.push("queryEmployee");
+    acts
 }
 
 /// Paper data model: key = employeeID, value = array of application records.
@@ -52,9 +93,12 @@ impl LapByEmployeeContract {
 }
 
 impl LapByEmployeeContract {
+    /// Replace or append `app`'s entry in the employee's list. The list is
+    /// shared with the world state, so this copies its spine of element
+    /// pointers; every other application entry stays shared.
     fn upsert(ctx: &mut TxContext<'_>, employee: &str, app: &str, amount: i64, status: &str) {
         let mut entries = match ctx.get_state(employee) {
-            Some(Value::List(items)) => items,
+            Some(Value::List(items)) => Arc::unwrap_or_clone(items),
             _ => Vec::new(),
         };
         let fresh = application_entry(app, employee, amount, status);
@@ -68,7 +112,7 @@ impl LapByEmployeeContract {
         } else {
             entries.push(fresh);
         }
-        ctx.put_state(employee, Value::List(entries));
+        ctx.put_state(employee, Value::List(entries.into()));
     }
 }
 
@@ -82,27 +126,23 @@ impl Contract for LapByEmployeeContract {
     }
 
     fn execute(&self, ctx: &mut TxContext<'_>, activity: &str, args: &[Value]) -> ExecStatus {
-        match activity {
-            "queryEmployee" => {
-                let employee = arg_str(args, 0, "employee");
+        match LapCall::parse(activity, args) {
+            Ok(LapCall::Query { employee }) => {
                 let _ = ctx.get_state(employee);
-                ExecStatus::Ok
             }
-            act if LAP_ACTIVITIES.contains(&act) => {
-                let employee = arg_str(args, 0, "employee");
-                let app = arg_str(args, 1, "application");
-                let amount = args.get(2).and_then(Value::as_int).unwrap_or(0);
-                Self::upsert(ctx, employee, app, amount, act);
-                ExecStatus::Ok
-            }
-            other => panic!("lap: unknown activity {other:?}"),
+            Ok(LapCall::Step {
+                activity,
+                employee,
+                app,
+                amount,
+            }) => Self::upsert(ctx, employee, app, amount, activity),
+            Err(reason) => return ExecStatus::Abort(reason),
         }
+        ExecStatus::Ok
     }
 
     fn activities(&self) -> Vec<&'static str> {
-        let mut acts = LAP_ACTIVITIES.to_vec();
-        acts.push("queryEmployee");
-        acts
+        lap_activities()
     }
 }
 
@@ -125,37 +165,31 @@ impl Contract for LapByApplicationContract {
     }
 
     fn execute(&self, ctx: &mut TxContext<'_>, activity: &str, args: &[Value]) -> ExecStatus {
-        match activity {
-            "queryEmployee" => {
+        match LapCall::parse(activity, args) {
+            Ok(LapCall::Query { employee }) => {
                 // Per-employee reporting now scans applications; kept cheap
                 // via the employee index key (read-only either way).
-                let employee = arg_str(args, 0, "employee");
                 let _ = ctx.get_state(&format!("emp-index:{employee}"));
-                ExecStatus::Ok
             }
-            "create" => {
-                let employee = arg_str(args, 0, "employee");
-                let app = arg_str(args, 1, "application");
-                let amount = args.get(2).and_then(Value::as_int).unwrap_or(0);
-                ctx.put_state(app, application_entry(app, employee, amount, "create"));
-                ExecStatus::Ok
+            Ok(LapCall::Step {
+                activity,
+                employee,
+                app,
+                amount,
+            }) => {
+                // `create` is a blind insert; every later step reads first.
+                if activity != "create" {
+                    let _ = ctx.get_state(app);
+                }
+                ctx.put_state(app, application_entry(app, employee, amount, activity));
             }
-            act if LAP_ACTIVITIES.contains(&act) => {
-                let employee = arg_str(args, 0, "employee");
-                let app = arg_str(args, 1, "application");
-                let amount = args.get(2).and_then(Value::as_int).unwrap_or(0);
-                let _ = ctx.get_state(app);
-                ctx.put_state(app, application_entry(app, employee, amount, act));
-                ExecStatus::Ok
-            }
-            other => panic!("lap-by-app: unknown activity {other:?}"),
+            Err(reason) => return ExecStatus::Abort(reason),
         }
+        ExecStatus::Ok
     }
 
     fn activities(&self) -> Vec<&'static str> {
-        let mut acts = LAP_ACTIVITIES.to_vec();
-        acts.push("queryEmployee");
-        acts
+        lap_activities()
     }
 }
 
@@ -209,7 +243,7 @@ mod tests {
         let mut s = WorldState::new();
         s.seed(
             "lap/E001".into(),
-            Value::List(vec![application_entry("APP1", "E001", 100, "create")]),
+            Value::List(vec![application_entry("APP1", "E001", 100, "create")].into()),
         );
         let cc = LapByEmployeeContract;
         let mut ctx = TxContext::new(&s, cc.name());
@@ -296,6 +330,52 @@ mod tests {
         let mut c2 = TxContext::new(&s, by_app.name());
         by_app.execute(&mut c2, "queryEmployee", &["E001".into()]);
         assert!(c2.into_rwset().writes.is_empty());
+    }
+
+    fn both_models() -> [Box<dyn Contract>; 2] {
+        [
+            Box::new(LapByEmployeeContract),
+            Box::new(LapByApplicationContract),
+        ]
+    }
+
+    fn aborts(cc: &dyn Contract, activity: &str, args: &[Value]) -> String {
+        let s = WorldState::new();
+        let mut ctx = TxContext::new(&s, cc.name());
+        let status = cc.execute(&mut ctx, activity, args);
+        let ExecStatus::Abort(reason) = status else {
+            panic!(
+                "{}: {activity} {args:?} should abort, got {status:?}",
+                cc.id()
+            );
+        };
+        assert!(
+            ctx.into_rwset().writes.is_empty(),
+            "an abort writes nothing"
+        );
+        reason
+    }
+
+    #[test]
+    fn unknown_activity_aborts_in_both_models() {
+        for cc in both_models() {
+            let reason = aborts(&*cc, "approveAll", &["E001".into(), "APP1".into()]);
+            assert!(reason.contains("unknown activity"), "{reason}");
+        }
+    }
+
+    #[test]
+    fn missing_or_non_string_ids_abort_in_both_models() {
+        for cc in both_models() {
+            let reason = aborts(&*cc, "queryEmployee", &[]);
+            assert!(reason.contains("employee"), "{reason}");
+            let reason = aborts(&*cc, "create", &[Value::Int(1), "APP1".into()]);
+            assert!(reason.contains("employee"), "{reason}");
+            let reason = aborts(&*cc, "submit", &["E001".into()]);
+            assert!(reason.contains("application"), "{reason}");
+            let reason = aborts(&*cc, "validate", &["E001".into(), Value::Unit]);
+            assert!(reason.contains("application"), "{reason}");
+        }
     }
 
     #[test]

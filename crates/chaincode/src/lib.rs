@@ -38,12 +38,18 @@ pub use scm::ScmContract;
 pub use fabric_sim::contract::{Contract, ExecStatus, TxContext};
 pub use fabric_sim::types::Value;
 
+/// String argument accessor that reports a malformed call as the reason to
+/// reject it (`ExecStatus::Abort`), the way Fabric chaincode returns an error.
+pub(crate) fn try_arg_str<'a>(args: &'a [Value], i: usize, what: &str) -> Result<&'a str, String> {
+    args.get(i)
+        .and_then(Value::as_str)
+        .ok_or_else(|| format!("argument {i} ({what}) must be a string"))
+}
+
 /// Convenience: string argument accessor with a clear panic message.
 /// Contracts are internal to the evaluation; malformed workloads are bugs.
 pub(crate) fn arg_str<'a>(args: &'a [Value], i: usize, what: &str) -> &'a str {
-    args.get(i)
-        .and_then(Value::as_str)
-        .unwrap_or_else(|| panic!("argument {i} ({what}) must be a string"))
+    try_arg_str(args, i, what).unwrap_or_else(|reason| panic!("{reason}"))
 }
 
 /// Convenience: integer argument accessor.

@@ -294,6 +294,39 @@ mod tests {
         assert!(big.approx_size() > small.approx_size());
     }
 
+    /// A LAP-style `List[Map{..}]` value: the shape whose sharing must not
+    /// leak into the export format.
+    fn application_list() -> Value {
+        let mut m = std::collections::BTreeMap::new();
+        m.insert("application".to_string(), Value::Str("APP1".into()));
+        m.insert("amount".to_string(), Value::Int(2500));
+        m.insert("status".to_string(), Value::Str("submit".into()));
+        Value::List(vec![Value::Map(m.into()), Value::Unit].into())
+    }
+
+    const APPLICATION_LIST_JSON: &str = r#"{"List":[{"Map":{"amount":{"Int":2500},"application":{"Str":"APP1"},"status":{"Str":"submit"}}},"Unit"]}"#;
+
+    #[test]
+    fn nested_value_wire_format_is_pinned() {
+        let v = application_list();
+        assert_eq!(serde_json::to_string(&v).unwrap(), APPLICATION_LIST_JSON);
+        let back: Value = serde_json::from_str(APPLICATION_LIST_JSON).unwrap();
+        assert_eq!(back, v);
+    }
+
+    #[test]
+    fn rwset_wire_format_is_pinned() {
+        let mut rw = ReadWriteSet::new();
+        rw.record_read("lap/E001".into(), v(3, 1));
+        rw.record_write("lap/E001".into(), Some(application_list()));
+        let json = format!(
+            r#"{{"reads":[{{"key":"lap/E001","version":{{"block":3,"tx":1}}}}],"writes":[{{"key":"lap/E001","value":{APPLICATION_LIST_JSON}}}],"range_reads":[]}}"#
+        );
+        assert_eq!(serde_json::to_string(&rw).unwrap(), json);
+        let back: ReadWriteSet = serde_json::from_str(&json).unwrap();
+        assert_eq!(back, rw);
+    }
+
     #[test]
     fn version_ordering_follows_block_then_tx() {
         assert!(Version::new(1, 5) < Version::new(2, 0));

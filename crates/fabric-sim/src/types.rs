@@ -3,6 +3,7 @@
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::Arc;
 
 /// A world-state key. Keys are plain strings, namespaced per chaincode by a
 /// `"namespace/"` prefix (Fabric scopes each chaincode's state the same way).
@@ -145,6 +146,30 @@ impl fmt::Display for TxType {
 /// Contracts store counters, strings, records and arrays of records; the
 /// variants cover everything the six evaluation contracts need while keeping
 /// values comparable and serializable.
+///
+/// # Sharing and copy-on-write
+///
+/// The two container variants hold their contents behind an [`Arc`], so
+/// cloning a `Value` copies one pointer, never the records inside. One
+/// written value is shared by the world state, every endorser's read-write
+/// set, the committed ledger envelope, and the analyzer's log record. This
+/// matters for contracts like LAP's by-employee model, whose hot key holds a
+/// list that grows with every application: a deep copy per layer would make
+/// a run O(txs × list length) in allocations.
+///
+/// A shared value is never mutated in place. To change one, take ownership
+/// of the container and edit that:
+///
+/// * [`Arc::unwrap_or_clone`] moves the contents out when this is the only
+///   reference and clones them otherwise (the usual read-modify-write in a
+///   contract: `get_state`, edit, `put_state`);
+/// * [`Arc::make_mut`] edits in place when unshared and clones first
+///   otherwise.
+///
+/// Either way only the container's own spine is copied (a list's element
+/// pointers, a map's entries); untouched elements stay shared. Equality
+/// compares contents, short-circuiting on pointer identity, and the JSON
+/// form is the same as for plain `Vec` / `BTreeMap` contents.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub enum Value {
     /// Unit marker (e.g. "key exists" flags).
@@ -154,9 +179,9 @@ pub enum Value {
     /// UTF-8 string (status fields, metadata).
     Str(String),
     /// Ordered list (e.g. the LAP per-employee application array).
-    List(Vec<Value>),
+    List(Arc<Vec<Value>>),
     /// String-keyed record (e.g. a loan application structure).
-    Map(BTreeMap<String, Value>),
+    Map(Arc<BTreeMap<String, Value>>),
 }
 
 impl Value {
@@ -282,17 +307,17 @@ mod tests {
         assert_eq!(Value::Int(5).as_int(), Some(5));
         assert_eq!(Value::Str("x".into()).as_int(), None);
         assert_eq!(Value::Str("hi".into()).as_str(), Some("hi"));
-        let l = Value::List(vec![Value::Int(1)]);
+        let l = Value::List(vec![Value::Int(1)].into());
         assert_eq!(l.as_list().map(|s| s.len()), Some(1));
         let mut m = BTreeMap::new();
         m.insert("a".to_string(), Value::Int(1));
-        assert!(Value::Map(m).as_map().is_some());
+        assert!(Value::Map(m.into()).as_map().is_some());
     }
 
     #[test]
     fn value_sizes_are_monotone() {
         let small = Value::Str("ab".into());
-        let big = Value::List(vec![small.clone(), Value::Int(1), Value::Str("xyz".into())]);
+        let big = Value::List(vec![small.clone(), Value::Int(1), Value::Str("xyz".into())].into());
         assert!(big.approx_size() > small.approx_size());
         assert_eq!(Value::Unit.approx_size(), 1);
     }
@@ -301,7 +326,7 @@ mod tests {
     fn value_display_is_compact() {
         let mut m = BTreeMap::new();
         m.insert("k".to_string(), Value::Int(3));
-        let v = Value::List(vec![Value::Map(m), Value::Str("s".into())]);
+        let v = Value::List(vec![Value::Map(m.into()), Value::Str("s".into())].into());
         assert_eq!(v.to_string(), "[{k:3},s]");
     }
 
