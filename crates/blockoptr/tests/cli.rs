@@ -356,3 +356,51 @@ fn optimize_lap_schedule_with_bad_calls_aborts_them() {
     assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
     assert!(stdout(&out).contains("recommendations"), "{}", stdout(&out));
 }
+
+#[test]
+fn optimize_scm_schedule_with_bad_calls_aborts_them_and_rejects_bad_orgs() {
+    let dir = std::env::temp_dir().join("blockoptr_cli_scm_badcalls");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("scm.json");
+    let path = path.to_str().unwrap();
+    let out = blockoptr(&["spec", "scm", "--txs", "50", "--freeze", "--out", path]);
+    assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
+    let frozen =
+        workload::ScenarioSpec::from_json(&std::fs::read_to_string(path).unwrap()).unwrap();
+
+    // An unknown activity and a mistyped argument abort those two
+    // transactions during endorsement; the loop runs to completion.
+    let mut spec = frozen.clone();
+    let workload::WorkloadSpec::Schedule(schedule) = &mut spec.workload else {
+        panic!("expected a frozen schedule");
+    };
+    schedule.requests[0].activity = "bogus".into();
+    // `queryProducts` skips non-string arguments; every other activity
+    // needs a string product id first.
+    let k = 1 + schedule.requests[1..]
+        .iter()
+        .position(|r| r.activity.as_ref() != "queryProducts")
+        .unwrap();
+    let mut args = schedule.requests[k].args.to_vec();
+    args[0] = Value::Int(5);
+    schedule.requests[k].args = args.into();
+    std::fs::write(path, spec.to_json()).unwrap();
+    let out = blockoptr(&["optimize", "--spec", path, "--dry-run"]);
+    assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
+    assert!(stdout(&out).contains("recommendations"), "{}", stdout(&out));
+
+    // An invoker org the network does not have is a typed spec error.
+    let mut spec = frozen;
+    let workload::WorkloadSpec::Schedule(schedule) = &mut spec.workload else {
+        panic!("expected a frozen schedule");
+    };
+    schedule.requests[0].invoker_org = fabric_sim::types::OrgId(9);
+    std::fs::write(path, spec.to_json()).unwrap();
+    let out = blockoptr(&["optimize", "--spec", path, "--dry-run"]);
+    assert_eq!(out.status.code(), Some(1));
+    assert!(
+        stderr(&out).contains("bad spec parameter schedule.requests[0].invoker_org"),
+        "{}",
+        stderr(&out)
+    );
+}

@@ -18,7 +18,7 @@
 //!   cross-invokes the metadata contract so the original functionality is
 //!   preserved (paper §4.4.2 example).
 
-use crate::{arg_int, arg_str, Contract, ExecStatus, TxContext, Value};
+use crate::{endorse, try_arg_int, try_arg_str, Contract, ExecStatus, TxContext, Value};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -65,23 +65,25 @@ impl Contract for DrmContract {
     }
 
     fn execute(&self, ctx: &mut TxContext<'_>, activity: &str, args: &[Value]) -> ExecStatus {
-        match activity {
+        endorse(|| match activity {
             "play" => {
-                let music = arg_str(args, 0, "music");
+                let music = try_arg_str(args, 0, "music")?;
                 let v = ctx.get_state(music);
                 ctx.put_state(music, bump_plays(v));
+                Ok(())
             }
             "create" => {
-                let music = arg_str(args, 0, "music");
+                let music = try_arg_str(args, 0, "music")?;
                 ctx.put_state(music, DrmContract::genesis_record(music));
+                Ok(())
             }
             "queryRightHolders" | "viewMetaData" | "calcRevenue" => {
-                let music = arg_str(args, 0, "music");
+                let music = try_arg_str(args, 0, "music")?;
                 let _ = ctx.get_state(music);
+                Ok(())
             }
-            other => panic!("drm: unknown activity {other:?}"),
-        }
-        ExecStatus::Ok
+            other => Err(format!("drm: unknown activity {other:?}")),
+        })
     }
 
     fn activities(&self) -> Vec<&'static str> {
@@ -114,21 +116,23 @@ impl Contract for DrmDeltaContract {
     }
 
     fn execute(&self, ctx: &mut TxContext<'_>, activity: &str, args: &[Value]) -> ExecStatus {
-        match activity {
+        endorse(|| match activity {
             "play" => {
                 // Write-only transaction to a unique delta key: no read, no
                 // dependency, no MVCC conflict.
-                let music = arg_str(args, 0, "music");
-                let seq = arg_int(args, 1, "sequence");
+                let music = try_arg_str(args, 0, "music")?;
+                let seq = try_arg_int(args, 1, "sequence")?;
                 ctx.put_state(&format!("{music}#d{seq:09}"), Value::Int(1));
+                Ok(())
             }
             "create" => {
-                let music = arg_str(args, 0, "music");
+                let music = try_arg_str(args, 0, "music")?;
                 ctx.put_state(music, DrmContract::genesis_record(music));
+                Ok(())
             }
             "calcRevenue" => {
                 // Aggregation now scans the delta keys — more read work.
-                let music = arg_str(args, 0, "music");
+                let music = try_arg_str(args, 0, "music")?;
                 let _ = ctx.get_state(music);
                 let deltas = ctx.get_state_by_range_limited(
                     &format!("{music}#d"),
@@ -136,14 +140,15 @@ impl Contract for DrmDeltaContract {
                     DELTA_SCAN_LIMIT,
                 );
                 let _total: i64 = deltas.iter().filter_map(|(_, v)| v.as_int()).sum();
+                Ok(())
             }
             "queryRightHolders" | "viewMetaData" => {
-                let music = arg_str(args, 0, "music");
+                let music = try_arg_str(args, 0, "music")?;
                 let _ = ctx.get_state(music);
+                Ok(())
             }
-            other => panic!("drm-delta: unknown activity {other:?}"),
-        }
-        ExecStatus::Ok
+            other => Err(format!("drm-delta: unknown activity {other:?}")),
+        })
     }
 
     fn activities(&self) -> Vec<&'static str> {
@@ -172,29 +177,31 @@ impl Contract for DrmPlayContract {
     }
 
     fn execute(&self, ctx: &mut TxContext<'_>, activity: &str, args: &[Value]) -> ExecStatus {
-        match activity {
+        endorse(|| match activity {
             "play" => {
-                let music = arg_str(args, 0, "music");
+                let music = try_arg_str(args, 0, "music")?;
                 let plays = ctx.get_state(music).and_then(|v| v.as_int()).unwrap_or(0);
                 ctx.put_state(music, Value::Int(plays + 1));
+                Ok(())
             }
             "calcRevenue" => {
-                let music = arg_str(args, 0, "music");
+                let music = try_arg_str(args, 0, "music")?;
                 let _ = ctx.get_state(music);
+                Ok(())
             }
             "create" => {
                 // The paper: "The create function is included in both smart
                 // contracts, and invocation of the first smart contract
                 // invokes the same function in the second."
-                let music = arg_str(args, 0, "music");
+                let music = try_arg_str(args, 0, "music")?;
                 ctx.put_state(music, Value::Int(0));
                 ctx.set_namespace(DrmMetaContract::NAME);
                 ctx.put_state(music, DrmContract::genesis_record(music));
                 ctx.set_namespace(Self::NAME);
+                Ok(())
             }
-            other => panic!("drm-play: unknown activity {other:?}"),
-        }
-        ExecStatus::Ok
+            other => Err(format!("drm-play: unknown activity {other:?}")),
+        })
     }
 
     fn activities(&self) -> Vec<&'static str> {
@@ -223,14 +230,15 @@ impl Contract for DrmPlayDeltaContract {
     }
 
     fn execute(&self, ctx: &mut TxContext<'_>, activity: &str, args: &[Value]) -> ExecStatus {
-        match activity {
+        endorse(|| match activity {
             "play" => {
-                let music = arg_str(args, 0, "music");
-                let seq = arg_int(args, 1, "sequence");
+                let music = try_arg_str(args, 0, "music")?;
+                let seq = try_arg_int(args, 1, "sequence")?;
                 ctx.put_state(&format!("{music}#d{seq:09}"), Value::Int(1));
+                Ok(())
             }
             "calcRevenue" => {
-                let music = arg_str(args, 0, "music");
+                let music = try_arg_str(args, 0, "music")?;
                 let _ = ctx.get_state(music);
                 let deltas = ctx.get_state_by_range_limited(
                     &format!("{music}#d"),
@@ -238,17 +246,18 @@ impl Contract for DrmPlayDeltaContract {
                     DELTA_SCAN_LIMIT,
                 );
                 let _total: i64 = deltas.iter().filter_map(|(_, v)| v.as_int()).sum();
+                Ok(())
             }
             "create" => {
-                let music = arg_str(args, 0, "music");
+                let music = try_arg_str(args, 0, "music")?;
                 ctx.put_state(music, Value::Int(0));
                 ctx.set_namespace(DrmMetaContract::NAME);
                 ctx.put_state(music, DrmContract::genesis_record(music));
                 ctx.set_namespace(Self::NAME);
+                Ok(())
             }
-            other => panic!("drm-play-delta: unknown activity {other:?}"),
-        }
-        ExecStatus::Ok
+            other => Err(format!("drm-play-delta: unknown activity {other:?}")),
+        })
     }
 
     fn activities(&self) -> Vec<&'static str> {
@@ -271,18 +280,19 @@ impl Contract for DrmMetaContract {
     }
 
     fn execute(&self, ctx: &mut TxContext<'_>, activity: &str, args: &[Value]) -> ExecStatus {
-        match activity {
+        endorse(|| match activity {
             "viewMetaData" | "queryRightHolders" => {
-                let music = arg_str(args, 0, "music");
+                let music = try_arg_str(args, 0, "music")?;
                 let _ = ctx.get_state(music);
+                Ok(())
             }
             "create" => {
-                let music = arg_str(args, 0, "music");
+                let music = try_arg_str(args, 0, "music")?;
                 ctx.put_state(music, DrmContract::genesis_record(music));
+                Ok(())
             }
-            other => panic!("drm-meta: unknown activity {other:?}"),
-        }
-        ExecStatus::Ok
+            other => Err(format!("drm-meta: unknown activity {other:?}")),
+        })
     }
 
     fn activities(&self) -> Vec<&'static str> {
@@ -411,5 +421,42 @@ mod tests {
         assert!(play.execute(&mut ctx, "play", &["M0001".into()]).is_ok());
         let rw = ctx.into_rwset();
         assert_eq!(rw.writes[0].value, Some(Value::Int(42)));
+    }
+
+    #[test]
+    fn bad_calls_abort_in_every_variant() {
+        use crate::testing::abort_reason;
+        let contracts: [(&dyn Contract, &str); 5] = [
+            (&DrmContract, "drm"),
+            (&DrmDeltaContract, "drm-delta"),
+            (&DrmPlayContract, "drm-play"),
+            (&DrmPlayDeltaContract, "drm-play-delta"),
+            (&DrmMetaContract, "drm-meta"),
+        ];
+        for (cc, label) in contracts {
+            assert_eq!(
+                abort_reason(cc, "bogus", &["M0001".into()]),
+                Some(format!("{label}: unknown activity \"bogus\"")),
+            );
+            for activity in cc.activities() {
+                for args in [vec![], vec![Value::Int(5)]] {
+                    let reason = abort_reason(cc, activity, &args);
+                    assert_eq!(
+                        reason.as_deref(),
+                        Some("argument 0 (music) must be a string"),
+                        "{label}.{activity}({args:?})"
+                    );
+                }
+            }
+        }
+        for cc in [&DrmDeltaContract as &dyn Contract, &DrmPlayDeltaContract] {
+            for seq in [None, Some(Value::Str("7".into()))] {
+                let args: Vec<Value> = std::iter::once("M0001".into()).chain(seq).collect();
+                assert_eq!(
+                    abort_reason(cc, "play", &args).as_deref(),
+                    Some("argument 1 (sequence) must be an integer"),
+                );
+            }
+        }
     }
 }

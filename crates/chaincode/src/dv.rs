@@ -12,7 +12,7 @@
 //! paper). [`DvPerVoterContract`] implements that redesign; results are
 //! aggregated by a range scan at `seeResults`.
 
-use crate::{arg_str, Contract, ExecStatus, TxContext, Value};
+use crate::{endorse, try_arg_str, Contract, ExecStatus, TxContext, Value};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -40,12 +40,12 @@ impl Contract for DvContract {
     }
 
     fn execute(&self, ctx: &mut TxContext<'_>, activity: &str, args: &[Value]) -> ExecStatus {
-        match activity {
+        endorse(|| match activity {
             "vote" => {
-                let party = arg_str(args, 0, "party");
-                let voter = arg_str(args, 1, "voter");
+                let party = try_arg_str(args, 0, "party")?;
+                let voter = try_arg_str(args, 1, "voter")?;
                 let Some(Value::Map(m)) = ctx.get_state(party) else {
-                    return ExecStatus::Abort(format!("unknown party {party}"));
+                    return Err(format!("unknown party {party}"));
                 };
                 let mut m = Arc::unwrap_or_clone(m);
                 let votes = m.get("votes").and_then(Value::as_int).unwrap_or(0);
@@ -66,23 +66,23 @@ impl Contract for DvContract {
                     }),
                 );
                 ctx.put_state(party, Value::Map(m.into()));
-                ExecStatus::Ok
+                Ok(())
             }
             "queryParties" => {
                 let _ = ctx.get_state("parties");
-                ExecStatus::Ok
+                Ok(())
             }
             "seeResults" => {
                 let _ = ctx.get_state_by_range("party:", "party:~");
-                ExecStatus::Ok
+                Ok(())
             }
             "endElection" => {
                 let _ = ctx.get_state("election");
                 ctx.put_state("election", Value::Str("closed".into()));
-                ExecStatus::Ok
+                Ok(())
             }
-            other => panic!("dv: unknown activity {other:?}"),
-        }
+            other => Err(format!("dv: unknown activity {other:?}")),
+        })
     }
 
     fn activities(&self) -> Vec<&'static str> {
@@ -109,18 +109,18 @@ impl Contract for DvPerVoterContract {
     }
 
     fn execute(&self, ctx: &mut TxContext<'_>, activity: &str, args: &[Value]) -> ExecStatus {
-        match activity {
+        endorse(|| match activity {
             "vote" => {
                 // Each voter writes their own unique ballot key: voters are
                 // "restricted to a single vote", so inserts never collide.
-                let party = arg_str(args, 0, "party");
-                let voter = arg_str(args, 1, "voter");
+                let party = try_arg_str(args, 0, "party")?;
+                let voter = try_arg_str(args, 1, "voter")?;
                 ctx.put_state(&format!("ballot:{voter}"), Value::Str(party.to_string()));
-                ExecStatus::Ok
+                Ok(())
             }
             "queryParties" => {
                 let _ = ctx.get_state("parties");
-                ExecStatus::Ok
+                Ok(())
             }
             "seeResults" => {
                 // Tally by scanning the ballots.
@@ -131,15 +131,15 @@ impl Contract for DvPerVoterContract {
                         *tally.entry(p.to_string()).or_insert(0) += 1;
                     }
                 }
-                ExecStatus::Ok
+                Ok(())
             }
             "endElection" => {
                 let _ = ctx.get_state("election");
                 ctx.put_state("election", Value::Str("closed".into()));
-                ExecStatus::Ok
+                Ok(())
             }
-            other => panic!("dv-per-voter: unknown activity {other:?}"),
-        }
+            other => Err(format!("dv-per-voter: unknown activity {other:?}")),
+        })
     }
 
     fn activities(&self) -> Vec<&'static str> {
@@ -261,5 +261,26 @@ mod tests {
         let rw = ctx.into_rwset();
         assert_eq!(rw.reads.len(), 1);
         assert_eq!(rw.reads[0].key, "dv/parties");
+    }
+
+    #[test]
+    fn bad_calls_abort_in_both_models() {
+        use crate::testing::abort_reason;
+        let contracts: [(&dyn Contract, &str); 2] =
+            [(&DvContract, "dv"), (&DvPerVoterContract, "dv-per-voter")];
+        for (cc, label) in contracts {
+            assert_eq!(
+                abort_reason(cc, "bogus", &[]),
+                Some(format!("{label}: unknown activity \"bogus\"")),
+            );
+            assert_eq!(
+                abort_reason(cc, "vote", &[Value::Int(1), "V001".into()]).as_deref(),
+                Some("argument 0 (party) must be a string"),
+            );
+            assert_eq!(
+                abort_reason(cc, "vote", &["party:A".into()]).as_deref(),
+                Some("argument 1 (voter) must be a string"),
+            );
+        }
     }
 }

@@ -15,7 +15,7 @@
 //! * `queryRecord(patient)` — read;
 //! * `updateRecord(patient, nonce)` — read + rewrite the record field.
 
-use crate::{arg_str, Contract, ExecStatus, TxContext, Value};
+use crate::{endorse, try_arg_str, Contract, ExecStatus, TxContext, Value};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -84,12 +84,12 @@ impl Contract for EhrContract {
     }
 
     fn execute(&self, ctx: &mut TxContext<'_>, activity: &str, args: &[Value]) -> ExecStatus {
-        match activity {
+        endorse(|| match activity {
             "grantAccess" => {
-                let patient = arg_str(args, 0, "patient");
-                let institute = arg_str(args, 1, "institute");
+                let patient = try_arg_str(args, 0, "patient")?;
+                let institute = try_arg_str(args, 1, "institute")?;
                 let Some(mut m) = Self::load(ctx, patient) else {
-                    return ExecStatus::Abort(format!("unknown patient {patient}"));
+                    return Err(format!("unknown patient {patient}"));
                 };
                 let mut list = Self::access_list(&m);
                 if !list.iter().any(|i| i == institute) {
@@ -97,13 +97,13 @@ impl Contract for EhrContract {
                 }
                 m.insert("access".to_string(), Value::Str(list.join(",")));
                 ctx.put_state(patient, Value::Map(m.into()));
-                ExecStatus::Ok
+                Ok(())
             }
             "revokeAccess" => {
-                let patient = arg_str(args, 0, "patient");
-                let institute = arg_str(args, 1, "institute");
+                let patient = try_arg_str(args, 0, "patient")?;
+                let institute = try_arg_str(args, 1, "institute")?;
                 let Some(mut m) = Self::load(ctx, patient) else {
-                    return ExecStatus::Abort(format!("unknown patient {patient}"));
+                    return Err(format!("unknown patient {patient}"));
                 };
                 let mut list = Self::access_list(&m);
                 let had = list.iter().any(|i| i == institute);
@@ -111,23 +111,23 @@ impl Contract for EhrContract {
                     list.retain(|i| i != institute);
                     m.insert("access".to_string(), Value::Str(list.join(",")));
                     ctx.put_state(patient, Value::Map(m.into()));
-                    ExecStatus::Ok
+                    Ok(())
                 } else if self.pruned {
-                    ExecStatus::Abort(format!("revoke without grant: {institute} on {patient}"))
+                    Err(format!("revoke without grant: {institute} on {patient}"))
                 } else {
                     // Anomalous path committed read-only for provenance.
-                    ExecStatus::Ok
+                    Ok(())
                 }
             }
             "queryRecord" => {
-                let patient = arg_str(args, 0, "patient");
+                let patient = try_arg_str(args, 0, "patient")?;
                 let _ = ctx.get_state(patient);
-                ExecStatus::Ok
+                Ok(())
             }
             "updateRecord" => {
-                let patient = arg_str(args, 0, "patient");
+                let patient = try_arg_str(args, 0, "patient")?;
                 let Some(mut m) = Self::load(ctx, patient) else {
-                    return ExecStatus::Abort(format!("unknown patient {patient}"));
+                    return Err(format!("unknown patient {patient}"));
                 };
                 let nonce = args.get(1).cloned().unwrap_or(Value::Unit);
                 m.insert(
@@ -135,10 +135,10 @@ impl Contract for EhrContract {
                     Value::Str(format!("record:{patient}:{nonce}")),
                 );
                 ctx.put_state(patient, Value::Map(m.into()));
-                ExecStatus::Ok
+                Ok(())
             }
-            other => panic!("ehr: unknown activity {other:?}"),
-        }
+            other => Err(format!("ehr: unknown activity {other:?}")),
+        })
     }
 
     fn activities(&self) -> Vec<&'static str> {
@@ -256,5 +256,30 @@ mod tests {
         let (st, rw) = run(&cc, &s, "queryRecord", &["PT0001".into()]);
         assert!(st.is_ok());
         assert_eq!(rw.tx_type(), TxType::Read);
+    }
+
+    #[test]
+    fn bad_calls_abort_in_both_variants() {
+        use crate::testing::abort_reason;
+        for cc in [EhrContract::base(), EhrContract::pruned()] {
+            assert_eq!(
+                abort_reason(&cc, "bogus", &[]).as_deref(),
+                Some("ehr: unknown activity \"bogus\""),
+            );
+            for activity in cc.activities() {
+                assert_eq!(
+                    abort_reason(&cc, activity, &[Value::Int(1), "inst1".into()]).as_deref(),
+                    Some("argument 0 (patient) must be a string"),
+                    "{activity}"
+                );
+            }
+            for activity in ["grantAccess", "revokeAccess"] {
+                assert_eq!(
+                    abort_reason(&cc, activity, &["PT0001".into()]).as_deref(),
+                    Some("argument 1 (institute) must be a string"),
+                    "{activity}"
+                );
+            }
+        }
     }
 }

@@ -15,7 +15,7 @@
 //! * `range_read(start, end)` — range scan;
 //! * `delete(key)` — read + tombstone.
 
-use crate::{arg_str, Contract, ExecStatus, TxContext, Value};
+use crate::{endorse, try_arg_str, Contract, ExecStatus, TxContext, Value};
 
 /// The synthetic genChain contract (namespace `genchain`).
 #[derive(Debug, Default, Clone, Copy)]
@@ -32,34 +32,38 @@ impl Contract for GenChainContract {
     }
 
     fn execute(&self, ctx: &mut TxContext<'_>, activity: &str, args: &[Value]) -> ExecStatus {
-        match activity {
+        endorse(|| match activity {
             "read" => {
-                let key = arg_str(args, 0, "key");
+                let key = try_arg_str(args, 0, "key")?;
                 let _ = ctx.get_state(key);
+                Ok(())
             }
             "write" => {
-                let key = arg_str(args, 0, "key");
+                let key = try_arg_str(args, 0, "key")?;
                 ctx.put_state(key, args.get(1).cloned().unwrap_or(Value::Unit));
+                Ok(())
             }
             "update" => {
-                let key = arg_str(args, 0, "key");
+                let key = try_arg_str(args, 0, "key")?;
                 let _ = ctx.get_state(key);
                 let nonce = args.get(1).cloned().unwrap_or(Value::Unit);
                 ctx.put_state(key, Value::Str(format!("u:{nonce}")));
+                Ok(())
             }
             "range_read" => {
-                let start = arg_str(args, 0, "start");
-                let end = arg_str(args, 1, "end");
+                let start = try_arg_str(args, 0, "start")?;
+                let end = try_arg_str(args, 1, "end")?;
                 let _ = ctx.get_state_by_range(start, end);
+                Ok(())
             }
             "delete" => {
-                let key = arg_str(args, 0, "key");
+                let key = try_arg_str(args, 0, "key")?;
                 let _ = ctx.get_state(key);
                 ctx.delete_state(key);
+                Ok(())
             }
-            other => panic!("genchain: unknown activity {other:?}"),
-        }
-        ExecStatus::Ok
+            other => Err(format!("genchain: unknown activity {other:?}")),
+        })
     }
 
     fn activities(&self) -> Vec<&'static str> {
@@ -70,6 +74,7 @@ impl Contract for GenChainContract {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testing::abort_reason;
     use fabric_sim::state::WorldState;
     use fabric_sim::types::TxType;
 
@@ -132,9 +137,29 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "unknown activity")]
-    fn unknown_activity_panics() {
-        let s = state();
-        let _ = run(&s, "bogus", &[]);
+    fn unknown_activity_aborts() {
+        assert_eq!(
+            abort_reason(&GenChainContract, "bogus", &[]).as_deref(),
+            Some("genchain: unknown activity \"bogus\"")
+        );
+    }
+
+    #[test]
+    fn missing_or_mistyped_arguments_abort() {
+        for (activity, args) in [
+            ("read", vec![]),
+            ("write", vec![Value::Int(5)]),
+            ("update", vec![Value::Unit]),
+            ("range_read", vec!["k00001".into()]),
+            ("delete", vec![Value::Int(1)]),
+        ] {
+            let reason = abort_reason(&GenChainContract, activity, &args);
+            assert!(
+                reason
+                    .as_deref()
+                    .is_some_and(|r| r.contains("must be a string")),
+                "{activity}: {reason:?}"
+            );
+        }
     }
 }

@@ -16,7 +16,12 @@
 //! All contracts are **deterministic in `(state, args)`** — workload
 //! generators bake every random choice (keys, values, nonces) into the
 //! arguments, so endorsement re-execution always reproduces the same
-//! read-write set.
+//! read-write set. The simulator relies on this to let a proposal's
+//! endorsers share one execution while the world state is unchanged.
+//!
+//! No contract panics on a bad call: an unknown activity or a missing or
+//! mistyped argument aborts the proposal with the reason
+//! (`ExecStatus::Abort`), as Fabric chaincode returns an error.
 
 pub mod drm;
 pub mod dv;
@@ -46,15 +51,42 @@ pub(crate) fn try_arg_str<'a>(args: &'a [Value], i: usize, what: &str) -> Result
         .ok_or_else(|| format!("argument {i} ({what}) must be a string"))
 }
 
-/// Convenience: string argument accessor with a clear panic message.
-/// Contracts are internal to the evaluation; malformed workloads are bugs.
-pub(crate) fn arg_str<'a>(args: &'a [Value], i: usize, what: &str) -> &'a str {
-    try_arg_str(args, i, what).unwrap_or_else(|reason| panic!("{reason}"))
-}
-
-/// Convenience: integer argument accessor.
-pub(crate) fn arg_int(args: &[Value], i: usize, what: &str) -> i64 {
+/// Integer argument accessor; like [`try_arg_str`], a missing or mistyped
+/// argument is the reason to reject the call.
+pub(crate) fn try_arg_int(args: &[Value], i: usize, what: &str) -> Result<i64, String> {
     args.get(i)
         .and_then(Value::as_int)
-        .unwrap_or_else(|| panic!("argument {i} ({what}) must be an integer"))
+        .ok_or_else(|| format!("argument {i} ({what}) must be an integer"))
+}
+
+/// Run a contract body: `Err(reason)` — an unknown activity, a malformed
+/// argument, or a business-rule rejection — aborts the proposal during
+/// endorsement instead of crashing the peer.
+pub(crate) fn endorse(body: impl FnOnce() -> Result<(), String>) -> ExecStatus {
+    match body() {
+        Ok(()) => ExecStatus::Ok,
+        Err(reason) => ExecStatus::Abort(reason),
+    }
+}
+
+/// Test support shared by the contract modules.
+#[cfg(test)]
+pub(crate) mod testing {
+    use super::{Contract, ExecStatus, TxContext, Value};
+    use fabric_sim::state::WorldState;
+
+    /// Execute one call against empty state and return the contract's
+    /// reason to abort it, if it aborted.
+    pub(crate) fn abort_reason(
+        cc: &dyn Contract,
+        activity: &str,
+        args: &[Value],
+    ) -> Option<String> {
+        let state = WorldState::new();
+        let mut ctx = TxContext::new(&state, cc.name());
+        match cc.execute(&mut ctx, activity, args) {
+            ExecStatus::Ok => None,
+            ExecStatus::Abort(reason) => Some(reason),
+        }
+    }
 }

@@ -27,7 +27,7 @@
 //! `ship`/`unload` during endorsement, implementing the paper's pruning
 //! optimization in the smart contract (§3, §6.2).
 
-use crate::{arg_str, Contract, ExecStatus, TxContext, Value};
+use crate::{endorse, try_arg_str, Contract, ExecStatus, TxContext, Value};
 
 /// The SCM contract; `pruned` controls the anomalous-path behaviour.
 #[derive(Debug, Clone, Copy)]
@@ -65,18 +65,18 @@ impl ScmContract {
         expect: i64,
         next: i64,
         what: &str,
-    ) -> ExecStatus {
+    ) -> Result<(), String> {
         let stage = Self::stage(ctx, product);
         if stage == expect {
             ctx.put_state(product, Value::Int(next));
-            ExecStatus::Ok
+            Ok(())
         } else if self.pruned {
-            ExecStatus::Abort(format!(
+            Err(format!(
                 "{what}: product {product} at stage {stage}, need {expect}"
             ))
         } else {
             // Anomalous path: commit the read-only evidence on-chain.
-            ExecStatus::Ok
+            Ok(())
         }
     }
 }
@@ -95,22 +95,22 @@ impl Contract for ScmContract {
     }
 
     fn execute(&self, ctx: &mut TxContext<'_>, activity: &str, args: &[Value]) -> ExecStatus {
-        match activity {
+        endorse(|| match activity {
             "pushASN" => {
-                let product = arg_str(args, 0, "product");
+                let product = try_arg_str(args, 0, "product")?;
                 self.advance(ctx, product, 1, 2, "pushASN")
             }
             "ship" => {
-                let product = arg_str(args, 0, "product");
+                let product = try_arg_str(args, 0, "product")?;
                 self.advance(ctx, product, 2, 3, "ship")
             }
             "queryASN" => {
-                let product = arg_str(args, 0, "product");
+                let product = try_arg_str(args, 0, "product")?;
                 let _ = ctx.get_state(product);
-                ExecStatus::Ok
+                Ok(())
             }
             "unload" => {
-                let product = arg_str(args, 0, "product");
+                let product = try_arg_str(args, 0, "product")?;
                 self.advance(ctx, product, 3, 4, "unload")
             }
             "queryProducts" => {
@@ -119,19 +119,19 @@ impl Contract for ScmContract {
                         let _ = ctx.get_state(p);
                     }
                 }
-                ExecStatus::Ok
+                Ok(())
             }
             "updateAuditInfo" => {
-                let product = arg_str(args, 0, "product");
-                let audit = arg_str(args, 1, "audit");
+                let product = try_arg_str(args, 0, "product")?;
+                let audit = try_arg_str(args, 1, "audit")?;
                 let _ = ctx.get_state(product);
                 let _ = ctx.get_state(audit);
                 let nonce = args.get(2).cloned().unwrap_or(Value::Unit);
                 ctx.put_state(audit, Value::Str(format!("audit:{product}:{nonce}")));
-                ExecStatus::Ok
+                Ok(())
             }
-            other => panic!("scm: unknown activity {other:?}"),
-        }
+            other => Err(format!("scm: unknown activity {other:?}")),
+        })
     }
 
     fn activities(&self) -> Vec<&'static str> {
@@ -250,6 +250,32 @@ mod tests {
         assert!(st.is_ok());
         assert_eq!(rw.reads.len(), 2);
         assert!(rw.writes.is_empty());
+    }
+
+    #[test]
+    fn bad_calls_abort_instead_of_panicking() {
+        use crate::testing::abort_reason;
+        for cc in [ScmContract::base(), ScmContract::pruned()] {
+            assert_eq!(
+                abort_reason(&cc, "bogus", &["P0001".into()]).as_deref(),
+                Some("scm: unknown activity \"bogus\"")
+            );
+            for (activity, args) in [
+                ("pushASN", vec![Value::Int(5)]),
+                ("ship", vec![]),
+                ("queryASN", vec![Value::Unit]),
+                ("unload", vec![Value::Int(1)]),
+                ("updateAuditInfo", vec!["P0001".into()]),
+            ] {
+                let reason = abort_reason(&cc, activity, &args);
+                assert!(
+                    reason
+                        .as_deref()
+                        .is_some_and(|r| r.contains("must be a string")),
+                    "{activity}: {reason:?}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -1,10 +1,23 @@
 //! The chaincode execution interface.
 //!
 //! A [`Contract`] is a deterministic function from `(activity, args, state)`
-//! to a [`ReadWriteSet`]. Endorsers call [`Contract::execute`] with a
-//! [`TxContext`] that wraps the committed world state *at endorsement time*;
-//! every accessed key is recorded with its observed version, exactly like
-//! Fabric's shim records `GetState`/`PutState`/`GetStateByRange` calls.
+//! to a [`ReadWriteSet`]. The simulator calls [`Contract::execute`] with a
+//! [`TxContext`] that wraps the committed world state; every accessed key
+//! is recorded with its observed version, exactly like Fabric's shim
+//! records `GetState`/`PutState`/`GetStateByRange` calls.
+//!
+//! A transaction's chaincode runs once when the client proposes it (the
+//! execution also sizes the endorsers' service time). Each endorser then
+//! uses that outcome as long as the world state's
+//! [generation](crate::state::WorldState::generation) has not moved since,
+//! and executes again only if a block validated in between. The reuse is
+//! exact, not an approximation: every peer reads the one shared committed
+//! state, an unchanged generation means an unchanged state, and a contract
+//! is deterministic in its inputs, so a fresh execution would reproduce
+//! the stored read-write set (versions included) or abort reason bit for
+//! bit. Contracts must therefore keep no hidden state and draw no
+//! randomness: workload generators bake every random choice into the
+//! arguments.
 //!
 //! Contracts can *early-abort* a transaction (`ExecStatus::Abort`) — the
 //! mechanism used by the paper's *process model pruning* optimization, where

@@ -4,8 +4,9 @@
 //! stamped list of [`TxRequest`]s) through the full EOV pipeline:
 //!
 //! ```text
-//! client worker ──► endorsers (execute @ endorsement time) ──► client
-//!   (proposal)        per selected org, queued FIFO           (assemble)
+//! client worker ──► endorsers (reuse or re-execute) ──► client
+//!   (proposal,        per selected org, queued FIFO     (assemble)
+//!    executes once)
 //!        │                                                        │
 //!        ▼                                                        ▼
 //!     Commit ◄── Validate ◄── validator ◄── Raft ◄── orderer (block cutter
@@ -22,6 +23,21 @@
 //! racing events: a size/byte-triggered cut versus a timeout timer that is
 //! cancelled when the size cut wins and re-armed on the first arrival of a
 //! fresh buffer.
+//!
+//! Two costs stay proportional to the work in flight rather than to the
+//! workload:
+//!
+//! * **One execution per proposal.** `Propose` executes the chaincode once
+//!   and keeps the outcome on the transaction's `Pending` entry, tagged
+//!   with the world-state generation it read. An `Endorse` whose state
+//!   generation still matches shares that outcome; only an endorsement
+//!   after a block validated re-executes (see [`crate::contract`] for why
+//!   this is exact).
+//! * **Streamed arrivals.** Only the first `Submit` is scheduled up front;
+//!   each `Submit` schedules the next request in injection order. The
+//!   queue holds the pipeline's in-flight events instead of the whole
+//!   workload, and the dispatch order is the same as scheduling every
+//!   arrival at the start.
 
 use crate::client::{EndorserFleet, EndorserSelector, WorkerFleet};
 use crate::config::NetworkConfig;
@@ -195,12 +211,33 @@ impl Target {
     }
 }
 
+/// The outcome of one chaincode execution: the read-write set, or the
+/// contract's reason to reject the proposal.
 #[derive(Debug, Clone)]
 enum EndorseResult {
     Ok(ReadWriteSet),
     Abort(String),
 }
 
+/// A chaincode execution kept for reuse, tagged with the world-state
+/// [generation](WorldState::generation) it read.
+#[derive(Debug, Clone)]
+struct Execution {
+    generation: u64,
+    result: Arc<EndorseResult>,
+}
+
+/// One transaction's client-side progress.
+///
+/// `execution` is the latest chaincode execution of the current attempt:
+/// the proposal-time one, replaced whenever an endorser has to re-execute.
+/// Every endorser reads the one shared world state, and contracts are
+/// deterministic in `(activity, args, state)`, so an endorser whose state
+/// generation matches the stored one would compute exactly the stored
+/// outcome; it shares it instead of executing the contract again. Only
+/// a block validating between proposal and endorsement moves the
+/// generation and forces a re-execution. The stored execution is dropped
+/// once the attempt assembles or times out.
 #[derive(Debug, Clone, Default)]
 struct Pending {
     worker: Option<ClientId>,
@@ -209,7 +246,10 @@ struct Pending {
     endorse_orgs: Vec<OrgId>,
     endorse_peers: Vec<PeerId>,
     endorse_starts: Vec<SimTime>,
-    results: Vec<Option<EndorseResult>>,
+    execution: Option<Execution>,
+    /// Per-slot endorsement outcomes; slots that reused one execution
+    /// share its allocation. After assembly, slot 0 is the canonical one.
+    results: Vec<Option<Arc<EndorseResult>>>,
     /// Per-slot: the endorsement reply was lost in transit (fault drop).
     response_dropped: Vec<bool>,
     /// Proposal attempts so far (1 after the first fan-out).
@@ -223,6 +263,16 @@ struct Pending {
     timeout_timer: Option<TimerId>,
     mismatch: bool,
     dropped: bool,
+}
+
+impl Pending {
+    /// The canonical read-write set of an assembled transaction.
+    fn canonical(&self) -> Option<&ReadWriteSet> {
+        match self.results.first()?.as_deref()? {
+            EndorseResult::Ok(rw) => Some(rw),
+            EndorseResult::Abort(_) => None,
+        }
+    }
 }
 
 /// Blocks in flight between cutting and commit. `number` and `verdicts`
@@ -252,6 +302,10 @@ pub struct Simulation {
 struct Engine<'a> {
     sim: &'a Simulation,
     requests: &'a [TxRequest],
+    /// Request indices in injection order, not yet submitted. Arrivals
+    /// stream in: each `Submit` schedules the next one, so the queue holds
+    /// the in-flight pipeline rather than the whole workload.
+    arrivals: std::vec::IntoIter<usize>,
     state: WorldState,
     workers: WorkerFleet,
     endorsers: EndorserFleet,
@@ -314,6 +368,14 @@ impl Handler<Phase, Target> for Engine<'_> {
 
 impl Engine<'_> {
     fn submit(&mut self, now: SimTime, i: usize, queue: &mut Queue) {
+        // `Submit` is the only kind at its priority and send times are
+        // nondecreasing in `arrivals`, so scheduling the next arrival here
+        // dispatches every event in the same order as scheduling all of
+        // them up front.
+        if let Some(next) = self.arrivals.next() {
+            let at = self.requests[next].send_time;
+            queue.schedule(at, Phase::Submit, Target::tx(next));
+        }
         let req = &self.requests[i];
         let worker = self.workers.assign(req.invoker_org);
         self.pending[i].worker = Some(worker);
@@ -329,16 +391,10 @@ impl Engine<'_> {
             return;
         }
         let res = &self.sim.config.resources;
-        let req = &self.requests[i];
-        let contract = self
-            .sim
-            .contracts
-            .get(req.contract.as_ref())
-            .unwrap_or_else(|| panic!("contract {:?} not installed", req.contract));
-        // Cost estimate from a dry execution at proposal time.
-        let mut est_ctx = TxContext::new(&self.state, contract.name());
-        let _ = contract.execute(&mut est_ctx, &req.activity, &req.args);
-        let accesses = est_ctx.access_count();
+        // The proposal-time execution sizes the endorsers' service time and
+        // is kept for them to reuse.
+        let (execution, accesses) = self.execute(i);
+        self.pending[i].execution = Some(execution);
         let service = res.endorse_exec_base + res.endorse_exec_per_access.mul(accesses as u64);
 
         let orgs: Vec<OrgId> = self
@@ -423,14 +479,40 @@ impl Engine<'_> {
                 return;
             }
         }
-        let req = &self.requests[tx];
-        let contract = &self.sim.contracts[req.contract.as_ref()];
+        let generation = self.state.generation();
+        let result = match &self.pending[tx].execution {
+            Some(kept) if kept.generation == generation => kept.result.clone(),
+            _ => {
+                let (execution, _) = self.execute(tx);
+                self.pending[tx].execution.insert(execution).result.clone()
+            }
+        };
+        self.pending[tx].results[slot] = Some(result);
+    }
+
+    /// Execute request `i`'s chaincode against the current world state;
+    /// returns the execution and its state-access count.
+    ///
+    /// Panics if the request names an uninstalled contract.
+    fn execute(&self, i: usize) -> (Execution, usize) {
+        let req = &self.requests[i];
+        let contract = self
+            .sim
+            .contracts
+            .get(req.contract.as_ref())
+            .unwrap_or_else(|| panic!("contract {:?} not installed", req.contract));
         let mut ctx = TxContext::new(&self.state, contract.name());
         let status = contract.execute(&mut ctx, &req.activity, &req.args);
-        self.pending[tx].results[slot] = Some(match status {
+        let accesses = ctx.access_count();
+        let result = match status {
             ExecStatus::Ok => EndorseResult::Ok(ctx.into_rwset()),
             ExecStatus::Abort(reason) => EndorseResult::Abort(reason),
-        });
+        };
+        let execution = Execution {
+            generation: self.state.generation(),
+            result: Arc::new(result),
+        };
+        (execution, accesses)
     }
 
     fn assemble(&mut self, now: SimTime, i: usize, epoch: u32, queue: &mut Queue) {
@@ -443,11 +525,12 @@ impl Engine<'_> {
             queue.cancel(timer);
         }
         let p = &mut self.pending[i];
+        p.execution = None;
         let mut first_ok: Option<usize> = None;
         let mut aborted = false;
         let mut missing = false;
         for (slot, r) in p.results.iter().enumerate() {
-            match r {
+            match r.as_deref() {
                 Some(EndorseResult::Ok(_)) => {
                     first_ok = first_ok.or(Some(slot));
                 }
@@ -467,7 +550,7 @@ impl Engine<'_> {
                 .results
                 .iter()
                 .flatten()
-                .find_map(|r| match r {
+                .find_map(|r| match r.as_ref() {
                     EndorseResult::Abort(reason) => Some(reason.as_str()),
                     EndorseResult::Ok(_) => None,
                 })
@@ -477,15 +560,15 @@ impl Engine<'_> {
             self.early_aborted += 1;
             return;
         };
-        let canonical = match p.results[first].as_ref() {
+        let canonical = match p.results[first].as_deref() {
             Some(EndorseResult::Ok(rw)) => rw,
             _ => unreachable!("first_ok indexes an Ok result"),
         };
-        p.mismatch = p
-            .results
-            .iter()
-            .flatten()
-            .any(|r| matches!(r, EndorseResult::Ok(rw) if rw != canonical));
+        // Slots sharing the canonical execution match it by construction.
+        p.mismatch = p.results.iter().flatten().any(|r| match r.as_ref() {
+            EndorseResult::Ok(rw) => !std::ptr::eq(rw, canonical) && rw != canonical,
+            EndorseResult::Abort(_) => false,
+        });
         let worker = p.worker.expect("assigned at Submit");
         let (_, done) = self
             .workers
@@ -512,6 +595,8 @@ impl Engine<'_> {
         self.degradation.timeouts += 1;
         let max_attempts = self.sim.retry.max_attempts.max(1);
         let p = &mut self.pending[i];
+        // A retry re-executes at its own proposal time.
+        p.execution = None;
         if p.attempt >= max_attempts {
             *self
                 .abort_reasons
@@ -583,10 +668,7 @@ impl Engine<'_> {
             .iter()
             .map(|&i| {
                 let p = &self.pending[i];
-                let rwset = match p.results[0].as_ref().expect("assembled") {
-                    EndorseResult::Ok(rw) => rw,
-                    EndorseResult::Abort(_) => unreachable!(),
-                };
+                let rwset = p.canonical().expect("assembled");
                 let spread = p
                     .endorse_starts
                     .iter()
@@ -619,16 +701,13 @@ impl Engine<'_> {
         let mut validation = res.validate_block_fixed;
         for &i in &cut.txs {
             let p = &self.pending[i];
-            let items = match p.results[0].as_ref() {
-                Some(EndorseResult::Ok(rw)) => {
-                    rw.reads.len()
-                        + rw.range_reads
-                            .iter()
-                            .map(|r| r.observed.len())
-                            .sum::<usize>()
-                }
-                _ => 0,
-            };
+            let items = p.canonical().map_or(0, |rw| {
+                rw.reads.len()
+                    + rw.range_reads
+                        .iter()
+                        .map(|r| r.observed.len())
+                        .sum::<usize>()
+            });
             validation += res.validate_per_tx
                 + res.validate_per_item.mul(items as u64)
                 + res
@@ -667,15 +746,9 @@ impl Engine<'_> {
             .iter()
             .map(|&pos| {
                 let tx_idx = fb.txs[pos];
-                let rwset = match self.pending[tx_idx].results[0]
-                    .as_ref()
-                    .expect("assembled tx has canonical rwset")
-                {
-                    EndorseResult::Ok(rw) => rw,
-                    EndorseResult::Abort(_) => {
-                        unreachable!("aborted txs never reach ordering")
-                    }
-                };
+                let rwset = self.pending[tx_idx]
+                    .canonical()
+                    .expect("aborted txs never reach ordering");
                 TxToValidate {
                     rwset,
                     endorse_mismatch: self.pending[tx_idx].mismatch,
@@ -715,9 +788,12 @@ impl Engine<'_> {
             }
             // Each transaction commits exactly once, so the canonical rwset
             // and endorser list move into the envelope instead of being
-            // cloned.
+            // cloned: dropping the other slots' shares first leaves the
+            // canonical execution uniquely owned.
             let p = &mut self.pending[tx_idx];
-            let rwset = match p.results[0].take() {
+            let canonical = p.results.swap_remove(0);
+            p.results.clear();
+            let rwset = match canonical.map(Arc::unwrap_or_clone) {
                 Some(EndorseResult::Ok(rw)) => rw,
                 _ => unreachable!("committed tx has canonical rwset"),
             };
@@ -855,13 +931,15 @@ impl Simulation {
             let _ = queue.schedule_timer(start, Phase::FaultStart, Target::window(w));
             let _ = queue.schedule_timer(end, Phase::FaultEnd, Target::window(w));
         }
-        for &i in &order {
+        let mut arrivals = order.into_iter();
+        if let Some(i) = arrivals.next() {
             queue.schedule(requests[i].send_time, Phase::Submit, Target::tx(i));
         }
 
         let mut engine = Engine {
             sim: self,
             requests,
+            arrivals,
             state,
             workers,
             endorsers: EndorserFleet::new(cfg.orgs, cfg.endorsers_per_org()),
@@ -939,10 +1017,7 @@ impl Simulation {
     }
 
     fn proposal_size(&self, p: &Pending, req: &TxRequest) -> u64 {
-        let rw = match p.results[0].as_ref() {
-            Some(EndorseResult::Ok(rw)) => rw.approx_size(),
-            _ => 0,
-        };
+        let rw = p.canonical().map_or(0, ReadWriteSet::approx_size);
         let args: u64 = req.args.iter().map(Value::approx_size).sum();
         // Envelope framing + one signature per endorsement.
         256 + rw + args + 96 * p.endorse_peers.len() as u64
@@ -1042,9 +1117,12 @@ mod tests {
     use super::*;
     use crate::config::SchedulerKind;
     use crate::policy::EndorsementPolicy;
+    use crate::rwset::Version;
+    use std::sync::atomic::{AtomicUsize, Ordering as AtomicOrdering};
 
     /// A minimal key-value contract for driver tests:
-    /// `put k v`, `get k`, `upd k` (read+write), `fail` (always aborts).
+    /// `put k v`, `get k`, `upd k` (read+write), `scan k…` (reads every
+    /// key), `fail` (always aborts).
     struct KvContract;
 
     impl Contract for KvContract {
@@ -1069,23 +1147,59 @@ mod tests {
                     ctx.put_state(k, Value::Int(v + 1));
                     ExecStatus::Ok
                 }
+                "scan" => {
+                    for k in args {
+                        let _ = ctx.get_state(k.as_str().unwrap());
+                    }
+                    ExecStatus::Ok
+                }
                 "fail" => ExecStatus::Abort("nope".into()),
                 other => panic!("unknown activity {other}"),
             }
         }
         fn activities(&self) -> Vec<&'static str> {
-            vec!["put", "get", "upd", "fail"]
+            vec!["put", "get", "upd", "scan", "fail"]
         }
     }
 
-    fn sim() -> Simulation {
-        let cfg = NetworkConfig {
+    /// [`KvContract`] counting how many times the chaincode executes.
+    struct CountingKv(Arc<AtomicUsize>);
+
+    impl Contract for CountingKv {
+        fn name(&self) -> &str {
+            "kv"
+        }
+        fn execute(&self, ctx: &mut TxContext<'_>, activity: &str, args: &[Value]) -> ExecStatus {
+            self.0.fetch_add(1, AtomicOrdering::Relaxed);
+            KvContract.execute(ctx, activity, args)
+        }
+        fn activities(&self) -> Vec<&'static str> {
+            KvContract.activities()
+        }
+    }
+
+    /// A network over `cfg` with [`CountingKv`] installed and [`sim`]'s
+    /// genesis state, plus the contract's execution counter.
+    fn counting_sim(cfg: NetworkConfig) -> (Simulation, Arc<AtomicUsize>) {
+        let runs = Arc::new(AtomicUsize::new(0));
+        let mut s = Simulation::new(cfg);
+        s.install(Arc::new(CountingKv(runs.clone())));
+        s.seed("kv", "counter", Value::Int(0));
+        (s, runs)
+    }
+
+    /// Two orgs, both endorsing every proposal; blocks of 10.
+    fn two_org_config() -> NetworkConfig {
+        NetworkConfig {
             orgs: 2,
             endorsement_policy: EndorsementPolicy::p3(2),
             block_count: 10,
             ..NetworkConfig::default()
-        };
-        let mut s = Simulation::new(cfg);
+        }
+    }
+
+    fn sim() -> Simulation {
+        let mut s = Simulation::new(two_org_config());
         s.install(Arc::new(KvContract));
         s.seed("kv", "counter", Value::Int(0));
         s
@@ -1337,6 +1451,91 @@ mod tests {
             out.report.events as usize >= 5 * out.report.committed + 2 * out.report.blocks,
             "events {} too low",
             out.report.events
+        );
+    }
+
+    // ---- one chaincode execution per proposal ----
+
+    #[test]
+    fn healthy_run_executes_once_per_proposal() {
+        let (s, runs) = counting_sim(two_org_config());
+        let reqs: Vec<TxRequest> = (0..20)
+            .map(|i| match i % 3 {
+                0 => req(i, "get", vec!["counter".into()]),
+                1 => req(i, "upd", vec![format!("k{i}").into()]),
+                _ => req(i, "put", vec![format!("k{i}").into(), Value::Int(1)]),
+            })
+            .collect();
+        let out = s.run(&reqs);
+        assert_eq!(out.report.successes, 20, "{}", out.report);
+        let endorsements: u64 = out
+            .report
+            .endorsements_per_peer
+            .iter()
+            .map(|(_, n)| n)
+            .sum();
+        assert_eq!(endorsements, 40, "both orgs endorse every proposal");
+        assert_eq!(runs.load(AtomicOrdering::Relaxed), 20, "one execution each");
+        assert!(out.ledger.transactions().all(|tx| tx.endorsers.len() == 2));
+    }
+
+    #[test]
+    fn a_block_validating_before_endorsement_forces_re_execution() {
+        // One endorser per org, and execution cost dominated by state
+        // accesses: `upd` commits its block while `get` still waits in the
+        // endorsers' queues behind a long `scan`.
+        let mut cfg = two_org_config();
+        cfg.total_endorser_peers = 2;
+        cfg.resources.endorse_exec_per_access = SimDuration::from_millis(100);
+        let (s, runs) = counting_sim(cfg);
+        let keys: Vec<Value> = (0..50).map(|j| format!("pad{j}").into()).collect();
+        let mut reqs = vec![
+            req(0, "upd", vec!["counter".into()]),
+            req(0, "scan", keys),
+            req(0, "get", vec!["counter".into()]),
+        ];
+        for (i, r) in reqs.iter_mut().enumerate() {
+            r.send_time = SimTime::from_millis(i as u64);
+        }
+        let out = s.run(&reqs);
+        assert_eq!(out.report.successes, 3, "{}", out.report);
+        let upd = out.ledger.transactions().find(|t| t.id == TxId(0)).unwrap();
+        let get = out.ledger.transactions().find(|t| t.id == TxId(2)).unwrap();
+        let upd_block = out
+            .ledger
+            .blocks()
+            .iter()
+            .find(|b| b.txs.iter().any(|t| t.id == upd.id))
+            .unwrap();
+        assert!(
+            get.rwset.reads[0].version == Some(Version::new(upd_block.number, 0)),
+            "the endorsement read the state the validated block left: {:?}",
+            get.rwset.reads
+        );
+        // Three proposal-time executions, plus one re-execution of `get`
+        // that its second endorser (same state generation) then shares.
+        assert_eq!(runs.load(AtomicOrdering::Relaxed), 4);
+    }
+
+    #[test]
+    fn endorsement_timeout_retry_executes_again() {
+        let (mut s, runs) = counting_sim(two_org_config());
+        s.set_fault(org0_outage(0.0, 0.5));
+        s.set_retry(RetryPolicy {
+            endorse_timeout: Some(0.2),
+            max_attempts: 10,
+            backoff_base: 0.1,
+            backoff_multiplier: 2.0,
+            jitter: 0.0,
+        });
+        let out = s.run(&puts(1));
+        assert_eq!(out.report.successes, 1, "{}", out.report);
+        let retries = out.report.degradation.retries;
+        assert!(retries > 0);
+        assert_eq!(
+            runs.load(AtomicOrdering::Relaxed),
+            1 + retries,
+            "one execution per proposal attempt"
         );
     }
 

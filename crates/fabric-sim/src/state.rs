@@ -24,6 +24,9 @@ pub struct VersionedValue {
 #[derive(Debug, Clone, Default)]
 pub struct WorldState {
     map: BTreeMap<Key, VersionedValue>,
+    /// Mutation counter: bumped by every [`seed`](Self::seed) and
+    /// [`apply`](Self::apply).
+    generation: u64,
 }
 
 impl WorldState {
@@ -52,8 +55,16 @@ impl WorldState {
             .range::<str, _>((Bound::Included(start), Bound::Excluded(end)))
     }
 
+    /// The mutation counter. Two reads that see the same generation see
+    /// the same state, so any deterministic function of the state (a
+    /// chaincode execution) computed at one is valid at the other.
+    pub fn generation(&self) -> u64 {
+        self.generation
+    }
+
     /// Directly set a key (used for genesis/bootstrap state, version 0:0).
     pub fn seed(&mut self, key: Key, value: Value) {
+        self.generation += 1;
         self.map.insert(
             key,
             VersionedValue {
@@ -65,6 +76,7 @@ impl WorldState {
 
     /// Apply the write set of a validated transaction at `version`.
     pub fn apply(&mut self, writes: &[WriteItem], version: Version) {
+        self.generation += 1;
         for w in writes {
             match &w.value {
                 Some(v) => {
@@ -161,6 +173,19 @@ mod tests {
         let mut s = WorldState::new();
         s.seed("g".into(), Value::Str("x".into()));
         assert_eq!(s.version_of("g"), Some(Version::new(0, 0)));
+    }
+
+    #[test]
+    fn seed_and_apply_bump_the_generation() {
+        let mut s = WorldState::new();
+        assert_eq!(s.generation(), 0);
+        s.seed("g".into(), Value::Unit);
+        assert_eq!(s.generation(), 1);
+        s.apply(&[w("a", 1)], Version::new(1, 0));
+        s.apply(&[del("a")], Version::new(2, 0));
+        assert_eq!(s.generation(), 3);
+        let _ = (s.get("g"), s.range("", "z").count(), s.version_of("g"));
+        assert_eq!(s.generation(), 3, "reads never move it");
     }
 
     #[test]

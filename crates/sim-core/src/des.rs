@@ -1,25 +1,25 @@
 //! The discrete-event simulation core.
 //!
-//! [`events::EventQueue`](crate::events::EventQueue) is a plain timed queue
-//! with FIFO tie-breaking over an opaque payload; this module is the typed
-//! engine built on the same idea, in the style of a classic DES runner:
-//! pop the next event → advance the clock → dispatch to a handler → the
-//! handler schedules follow-up events. It adds the three things a
-//! multi-phase pipeline simulation needs:
+//! A typed event engine in the style of a classic DES runner: pop the next
+//! event → advance the clock → dispatch to a handler → the handler
+//! schedules follow-up events. It provides the three things a multi-phase
+//! pipeline simulation needs:
 //!
 //! * **Targeted events** — [`Event`]`{ at, kind, subject }`: a timestamp, a
 //!   typed phase kind (what to do), and a subject (which entity to do it
 //!   to). Handlers dispatch on the kind and index state by the subject.
 //! * **Deterministic kind-aware tie-breaking** — events at the same instant
 //!   pop ordered by [`EventKind::priority`] first and schedule order
-//!   (sequence number) second. Within one kind the FIFO guarantee of the
-//!   plain queue is preserved; across kinds the priority pins a documented
-//!   pipeline order instead of leaving it to incidental scheduling order.
+//!   (sequence number) second. Within one kind, events at one instant pop
+//!   FIFO; across kinds the priority pins a documented pipeline order
+//!   instead of leaving it to incidental scheduling order.
 //! * **Cancellable timers** — [`DesQueue::schedule_timer`] returns a
 //!   [`TimerId`]; [`DesQueue::cancel`] guarantees the timer never fires.
-//!   Cancellation is lazy (a tombstone set), so it is O(1) and the heap is
-//!   never rebuilt. This is what lets a block cutter race a size-triggered
-//!   cut against a timeout and simply disarm the loser.
+//!   Timer ids are dense, so their states live in a table indexed by id.
+//!   Cancellation is lazy (the heap entry stays as a tombstone and is
+//!   skipped when it surfaces), so it is O(1) and the heap is never
+//!   rebuilt. This is what lets a block cutter race a size-triggered cut
+//!   against a timeout and simply disarm the loser.
 //!
 //! The runner ([`run`]) drives a [`Handler`] to quiescence: when the queue
 //! drains it offers the handler one `on_idle` callback (end-of-run flushes
@@ -29,7 +29,7 @@
 
 use crate::time::SimTime;
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, HashSet};
+use std::collections::BinaryHeap;
 
 /// A typed event kind with a total dispatch priority.
 ///
@@ -54,8 +54,21 @@ pub struct Event<K, S> {
 }
 
 /// Handle to a pending timer; pass to [`DesQueue::cancel`] to disarm it.
+/// Ids are dense (the n-th timer scheduled on a queue has id n).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct TimerId(u64);
+pub struct TimerId(usize);
+
+/// Where a timer is in its life; indexed by [`TimerId`] in the queue's
+/// timer table.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum TimerState {
+    /// Scheduled; its heap entry will fire.
+    Pending,
+    /// Cancelled while pending; its heap entry is a tombstone.
+    Cancelled,
+    /// Fired, or its tombstone was discarded from the heap.
+    Done,
+}
 
 struct Entry<K, S> {
     at: SimTime,
@@ -97,11 +110,10 @@ impl<K, S> Ord for Entry<K, S> {
 pub struct DesQueue<K: EventKind, S> {
     heap: BinaryHeap<Entry<K, S>>,
     next_seq: u64,
-    next_timer: u64,
-    /// Timers cancelled while still pending; their entries are skipped on pop.
-    cancelled: HashSet<TimerId>,
-    /// Timers scheduled and not yet fired or cancelled.
-    pending_timers: HashSet<TimerId>,
+    /// Every timer's state, indexed by its dense id.
+    timers: Vec<TimerState>,
+    /// Tombstones still in the heap (timers in [`TimerState::Cancelled`]).
+    tombstones: usize,
     now: SimTime,
     dispatched: u64,
 }
@@ -118,9 +130,8 @@ impl<K: EventKind, S> DesQueue<K, S> {
         DesQueue {
             heap: BinaryHeap::new(),
             next_seq: 0,
-            next_timer: 0,
-            cancelled: HashSet::new(),
-            pending_timers: HashSet::new(),
+            timers: Vec::new(),
+            tombstones: 0,
             now: SimTime::ZERO,
             dispatched: 0,
         }
@@ -149,9 +160,8 @@ impl<K: EventKind, S> DesQueue<K, S> {
     /// Schedule a cancellable timer. The returned [`TimerId`] stays valid
     /// until the timer fires; cancelling after it fired is a no-op.
     pub fn schedule_timer(&mut self, at: SimTime, kind: K, subject: S) -> TimerId {
-        let id = TimerId(self.next_timer);
-        self.next_timer += 1;
-        self.pending_timers.insert(id);
+        let id = TimerId(self.timers.len());
+        self.timers.push(TimerState::Pending);
         self.push(at, kind, subject, Some(id));
         id
     }
@@ -160,12 +170,25 @@ impl<K: EventKind, S> DesQueue<K, S> {
     /// timer was still pending (false if it already fired or was already
     /// cancelled).
     pub fn cancel(&mut self, id: TimerId) -> bool {
-        if self.pending_timers.remove(&id) {
-            self.cancelled.insert(id);
-            true
-        } else {
-            false
+        match self.timers.get_mut(id.0) {
+            Some(state) if *state == TimerState::Pending => {
+                *state = TimerState::Cancelled;
+                self.tombstones += 1;
+                true
+            }
+            _ => false,
         }
+    }
+
+    /// Retire a timer whose heap entry just left the heap; returns whether
+    /// that entry was a tombstone (the timer had been cancelled).
+    fn retire(&mut self, id: TimerId) -> bool {
+        let state = std::mem::replace(&mut self.timers[id.0], TimerState::Done);
+        let tombstone = state == TimerState::Cancelled;
+        if tombstone {
+            self.tombstones -= 1;
+        }
+        tombstone
     }
 
     /// Pop the next live event, advancing the clock to its timestamp.
@@ -173,10 +196,9 @@ impl<K: EventKind, S> DesQueue<K, S> {
     pub fn pop(&mut self) -> Option<Event<K, S>> {
         while let Some(e) = self.heap.pop() {
             if let Some(id) = e.timer {
-                if self.cancelled.remove(&id) {
+                if self.retire(id) {
                     continue; // tombstoned: the timer was disarmed
                 }
-                self.pending_timers.remove(&id);
             }
             self.now = self.now.max(e.at);
             self.dispatched += 1;
@@ -194,9 +216,9 @@ impl<K: EventKind, S> DesQueue<K, S> {
     pub fn peek_time(&mut self) -> Option<SimTime> {
         while let Some(e) = self.heap.peek() {
             match e.timer {
-                Some(id) if self.cancelled.contains(&id) => {
-                    let e = self.heap.pop().expect("peeked");
-                    self.cancelled.remove(&e.timer.expect("timer entry"));
+                Some(id) if self.timers[id.0] == TimerState::Cancelled => {
+                    self.heap.pop();
+                    self.retire(id);
                 }
                 _ => return Some(e.at),
             }
@@ -211,7 +233,7 @@ impl<K: EventKind, S> DesQueue<K, S> {
 
     /// Number of live pending events (cancelled timers excluded).
     pub fn len(&self) -> usize {
-        self.heap.len() - self.cancelled.len()
+        self.heap.len() - self.tombstones
     }
 
     /// Whether no live events remain.
@@ -325,6 +347,64 @@ mod tests {
         q.cancel(far);
         while q.pop().is_some() {}
         assert_eq!(q.now(), at(1), "disarmed timer leaves no clock trace");
+    }
+
+    #[test]
+    fn simultaneous_events_pop_fifo() {
+        let mut q: DesQueue<Phase, u32> = DesQueue::new();
+        for i in 0..100 {
+            q.schedule(at(1), Phase::Early, i);
+        }
+        let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|e| e.subject).collect();
+        assert_eq!(order, (0..100).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn clock_never_runs_backwards() {
+        let mut q: DesQueue<Phase, &str> = DesQueue::new();
+        q.schedule(at(5), Phase::Early, "future");
+        assert_eq!(q.pop().map(|e| e.at), Some(at(5)));
+        // An event scheduled in the past fires at the current clock.
+        q.schedule(at(1), Phase::Early, "past");
+        assert_eq!(q.pop().map(|e| e.at), Some(at(5)));
+        assert_eq!(q.now(), at(5));
+    }
+
+    #[test]
+    fn peek_does_not_advance_clock() {
+        let mut q: DesQueue<Phase, ()> = DesQueue::new();
+        q.schedule(at(2) + SimDuration::from_millis(1), Phase::Early, ());
+        assert_eq!(q.peek_time(), Some(SimTime::from_micros(2_001_000)));
+        assert_eq!(q.now(), SimTime::ZERO);
+        assert_eq!(q.len(), 1);
+        assert!(!q.is_empty());
+    }
+
+    #[test]
+    fn timer_table_tracks_every_timer() {
+        let mut q: DesQueue<Phase, u32> = DesQueue::new();
+        let fired = q.schedule_timer(at(1), Phase::Early, 1);
+        let head = q.schedule_timer(at(2), Phase::Early, 2);
+        let buried = q.schedule_timer(at(4), Phase::Late, 4);
+        q.schedule(at(3), Phase::Early, 3);
+        assert_eq!(q.pop().map(|e| e.subject), Some(1));
+        assert!(!q.cancel(fired), "cancel after fire is a no-op");
+        assert!(q.cancel(head));
+        assert!(q.cancel(buried));
+        assert_eq!(q.len(), 1, "cancelled timers are not live");
+        // The cancelled head is discarded by peek; the buried tombstone
+        // stays in the heap until it surfaces.
+        assert_eq!(q.peek_time(), Some(at(3)));
+        assert_eq!(q.len(), 1);
+        assert!(!q.cancel(head), "a discarded tombstone stays cancelled");
+        assert_eq!(q.pop().map(|e| e.subject), Some(3));
+        assert!(q.is_empty());
+        assert_eq!(q.pop().map(|e| e.subject), None);
+        assert_eq!(q.dispatched(), 2);
+        let fresh = q.schedule_timer(at(9), Phase::Late, 9);
+        assert_eq!(q.len(), 1);
+        assert!(q.cancel(fresh));
+        assert!(q.is_empty());
     }
 
     #[test]

@@ -7,9 +7,8 @@
 //!
 //! * [`time`] — a microsecond-resolution simulated clock ([`SimTime`],
 //!   [`SimDuration`]);
-//! * [`events`] — a deterministic event queue with stable FIFO tie-breaking;
 //! * [`des`] — the typed DES engine: targeted events (`{ at, kind, subject }`),
-//!   kind-priority-then-sequence tie-breaking, cancellable timers, and a
+//!   time-then-kind-priority-then-FIFO tie-breaking, cancellable timers, and a
 //!   handler-driven runner (pop → advance clock → dispatch → schedule);
 //! * [`rng`] — seedable random-number streams so that every simulation run is
 //!   reproducible bit-for-bit;
@@ -31,7 +30,6 @@
 
 pub mod des;
 pub mod dist;
-pub mod events;
 pub mod pool;
 pub mod rng;
 pub mod server;
@@ -41,7 +39,6 @@ pub mod time;
 
 pub use des::{DesQueue, Event, EventKind, Handler, TimerId};
 pub use dist::{DiscreteWeighted, Exponential, Zipf};
-pub use events::EventQueue;
 pub use pool::ThreadPool;
 pub use rng::SimRng;
 pub use server::{MultiServer, QueueServer};

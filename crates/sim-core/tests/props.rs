@@ -1,26 +1,31 @@
 //! Property tests for the DES primitives.
 
 use proptest::prelude::*;
-use sim_core::des::{DesQueue, EventKind};
+use sim_core::des::{DesQueue, Event, EventKind};
 use sim_core::dist::{DiscreteWeighted, Exponential, Zipf};
-use sim_core::events::EventQueue;
 use sim_core::rng::SimRng;
 use sim_core::server::{MultiServer, QueueServer};
 use sim_core::stats::{Summary, TimeBuckets};
 use sim_core::time::{SimDuration, SimTime};
 
 proptest! {
-    /// The event queue pops in non-decreasing time order and FIFO on ties,
-    /// regardless of insertion order.
+    /// A single-kind DES queue pops in non-decreasing time order and FIFO
+    /// on ties, regardless of insertion order.
     #[test]
     fn event_queue_total_order(times in prop::collection::vec(0u64..10_000, 1..200)) {
-        let mut q = EventQueue::new();
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        struct Only;
+        impl EventKind for Only {
+            fn priority(&self) -> u8 { 0 }
+        }
+
+        let mut q: DesQueue<Only, usize> = DesQueue::new();
         for (i, &t) in times.iter().enumerate() {
-            q.schedule(SimTime::from_micros(t), i);
+            q.schedule(SimTime::from_micros(t), Only, i);
         }
         let mut last: Option<(SimTime, usize)> = None;
         let mut popped = 0;
-        while let Some((now, payload)) = q.pop() {
+        while let Some(Event { at: now, subject: payload, .. }) = q.pop() {
             let t = times[payload];
             prop_assert!(now >= SimTime::from_micros(t));
             if let Some((lt, lp)) = last {

@@ -621,6 +621,15 @@ impl ScenarioSpec {
                             ),
                         ));
                     }
+                    if usize::from(r.invoker_org.0) >= self.network.orgs {
+                        return Err(bad(
+                            &format!("schedule.requests[{i}].invoker_org"),
+                            format!(
+                                "org {} does not exist (network has {} orgs)",
+                                r.invoker_org.0, self.network.orgs
+                            ),
+                        ));
+                    }
                 }
             }
         }
@@ -1101,6 +1110,28 @@ mod tests {
         match spec.validate().unwrap_err() {
             SpecError::BadParameter { field, .. } => {
                 assert_eq!(field, "schedule.genesis[0].namespace");
+            }
+            other => panic!("{other:?}"),
+        }
+    }
+
+    #[test]
+    fn schedule_specs_validate_invoker_orgs() {
+        let (bundle, config) = ScenarioSpec::builtin("scm")
+            .unwrap()
+            .with_transactions(20)
+            .build()
+            .unwrap();
+        let mut spec = freeze("scm-frozen", &bundle, &config).unwrap();
+        spec.validate().expect("a frozen builtin is valid");
+        let WorkloadSpec::Schedule(s) = &mut spec.workload else {
+            panic!("freeze yields a schedule");
+        };
+        s.requests[3].invoker_org = fabric_sim::types::OrgId(spec.network.orgs as u16);
+        match spec.validate().unwrap_err() {
+            SpecError::BadParameter { field, message } => {
+                assert_eq!(field, "schedule.requests[3].invoker_org");
+                assert!(message.contains("does not exist"), "{message}");
             }
             other => panic!("{other:?}"),
         }
