@@ -311,6 +311,20 @@ mod tests {
     }
 
     #[test]
+    fn pops_in_time_order_across_kinds() {
+        // Kind priority only breaks ties: a Late event earlier in time
+        // still pops before an Early one later in time.
+        let mut q: DesQueue<Phase, &str> = DesQueue::new();
+        q.schedule(at(3), Phase::Early, "c");
+        q.schedule(at(1), Phase::Late, "a");
+        q.schedule(at(2), Phase::Early, "b");
+        let order: Vec<_> = std::iter::from_fn(|| q.pop())
+            .map(|e| (e.at, e.subject))
+            .collect();
+        assert_eq!(order, vec![(at(1), "a"), (at(2), "b"), (at(3), "c")]);
+    }
+
+    #[test]
     fn same_time_orders_by_kind_priority_then_seq() {
         let mut q: DesQueue<Phase, u32> = DesQueue::new();
         // Schedule a Late before an Early at the same instant: the Early
