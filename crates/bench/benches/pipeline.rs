@@ -3,7 +3,7 @@
 //! and produce recommendations. This is the cost a user pays to run
 //! BlockOptR over a 2 000-transaction chain.
 
-use blockoptr::pipeline::BlockOptR;
+use blockoptr::session::Analyzer;
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use std::hint::black_box;
 use workload::spec::ControlVariables;
@@ -24,7 +24,7 @@ fn bench_pipeline(c: &mut Criterion) {
 
     let output = bundle.run(cv.network_config());
     group.bench_function("analyze_2k", |b| {
-        b.iter(|| black_box(BlockOptR::new().analyze_ledger(&output.ledger)))
+        b.iter(|| black_box(Analyzer::new().analyze_ledger(&output.ledger).unwrap()))
     });
 
     group.bench_function("simulate_and_analyze_2k", |b| {
@@ -32,7 +32,7 @@ fn bench_pipeline(c: &mut Criterion) {
             || bundle.clone(),
             |bundle| {
                 let out = bundle.run(cv.network_config());
-                black_box(BlockOptR::new().analyze_ledger(&out.ledger))
+                black_box(Analyzer::new().analyze_ledger(&out.ledger).unwrap())
             },
             BatchSize::SmallInput,
         )

@@ -3,7 +3,7 @@
 //!
 //! Two claims are measured and recorded:
 //!
-//! 1. **Fan-out scales.** `OptimizationPlan::execute_with` distributes the
+//! 1. **Fan-out scales.** `OptimizationPlan::execute_spec_with` distributes the
 //!    `(configuration, seed)` simulation grid over a
 //!    [`sim_core::pool::ThreadPool`]; on a machine with ≥ 4 cores the
 //!    4-thread execution must be ≥ 2× faster than the single-thread one
@@ -40,13 +40,12 @@
 //! uploads the file as an artifact.
 
 use bench::wallclock::Stopwatch;
-use blockoptr::pipeline::BlockOptR;
 use blockoptr::plan::{MeasuredReport, OptimizationPlan, PlanConfig, PlanOutcome};
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use fabric_sim::config::NetworkConfig;
 use sim_core::pool;
 use std::hint::black_box;
-use workload::{scm, ArrivalSpec, ScenarioSpec};
+use workload::{ArrivalSpec, ScenarioSpec};
 
 const SEEDS: usize = 4;
 const PARALLEL_THREADS: usize = 4;
@@ -62,27 +61,37 @@ const INGEST_SHARDS: usize = 4;
 /// loop never reaches.
 const OPEN_LOOP_RATE: f64 = 60.0;
 
-fn setup() -> (workload::WorkloadBundle, NetworkConfig, OptimizationPlan) {
+fn setup() -> (
+    ScenarioSpec,
+    workload::WorkloadBundle,
+    NetworkConfig,
+    OptimizationPlan,
+) {
     let txs = std::env::var("BENCH_PLAN_TXS")
         .ok()
         .and_then(|v| v.parse().ok())
         .unwrap_or(2_000);
-    let spec = scm::ScmSpec {
-        transactions: txs,
-        ..Default::default()
-    };
-    let bundle = scm::generate(&spec);
-    let config = NetworkConfig::default();
-    let analysis = BlockOptR::new().analyze_ledger(&bundle.run(config.clone()).ledger);
+    let spec = ScenarioSpec::builtin("scm")
+        .expect("scm is a builtin")
+        .with_transactions(txs);
+    let (bundle, config) = spec.build().expect("scm spec builds");
+    let analysis = blockoptr::Analyzer::new()
+        .analyze_ledger(&bundle.run(config.clone()).ledger)
+        .expect("scm commits transactions");
     let plan = OptimizationPlan::from_analysis(&analysis);
-    (bundle, config, plan)
+    (spec, bundle, config, plan)
+}
+
+/// One plan execution over the spec grid.
+fn execute(plan: &OptimizationPlan, spec: &ScenarioSpec, plan_config: &PlanConfig) -> PlanOutcome {
+    plan.execute_spec_with(spec, plan_config)
+        .expect("scm spec builds")
 }
 
 /// Median wall-clock of `runs` executions.
 fn time_execution(
     plan: &OptimizationPlan,
-    bundle: &workload::WorkloadBundle,
-    config: &NetworkConfig,
+    spec: &ScenarioSpec,
     plan_config: &PlanConfig,
     runs: usize,
 ) -> (f64, PlanOutcome) {
@@ -90,7 +99,7 @@ fn time_execution(
     let mut last = None;
     for _ in 0..runs {
         let start = Stopwatch::start();
-        last = Some(black_box(plan.execute_with(bundle, config, plan_config)));
+        last = Some(black_box(execute(plan, spec, plan_config)));
         secs.push(start.elapsed().as_secs_f64());
     }
     secs.sort_by(f64::total_cmp);
@@ -126,7 +135,7 @@ fn outcome_fingerprint(o: &PlanOutcome) -> Vec<Vec<(usize, usize, u64, u64)>> {
 }
 
 fn bench_plan_parallel(c: &mut Criterion) {
-    let (bundle, config, plan) = setup();
+    let (spec, bundle, config, plan) = setup();
     let serial_cfg = PlanConfig::new(SEEDS, 1);
     let parallel_cfg = PlanConfig::new(SEEDS, PARALLEL_THREADS);
 
@@ -135,11 +144,11 @@ fn bench_plan_parallel(c: &mut Criterion) {
     let mut group = c.benchmark_group("plan_parallel");
     group.sample_size(2);
     group.bench_function(format!("execute_{SEEDS}seeds_1thread"), |b| {
-        b.iter(|| black_box(plan.execute_with(&bundle, &config, &serial_cfg)))
+        b.iter(|| black_box(execute(&plan, &spec, &serial_cfg)))
     });
     group.bench_function(
         format!("execute_{SEEDS}seeds_{PARALLEL_THREADS}threads"),
-        |b| b.iter(|| black_box(plan.execute_with(&bundle, &config, &parallel_cfg))),
+        |b| b.iter(|| black_box(execute(&plan, &spec, &parallel_cfg))),
     );
     group.finish();
 
@@ -200,9 +209,8 @@ fn bench_plan_parallel(c: &mut Criterion) {
     // (medians of 5 runs, so one noisy-neighbour hiccup cannot flip the
     // ratio).
     let cores = pool::hardware_threads();
-    let (serial_secs, serial_outcome) = time_execution(&plan, &bundle, &config, &serial_cfg, 5);
-    let (parallel_secs, parallel_outcome) =
-        time_execution(&plan, &bundle, &config, &parallel_cfg, 5);
+    let (serial_secs, serial_outcome) = time_execution(&plan, &spec, &serial_cfg, 5);
+    let (parallel_secs, parallel_outcome) = time_execution(&plan, &spec, &parallel_cfg, 5);
     assert_eq!(
         outcome_fingerprint(&serial_outcome),
         outcome_fingerprint(&parallel_outcome),

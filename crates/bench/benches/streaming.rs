@@ -1,7 +1,7 @@
 //! Streaming versus batch analysis cost — the asymptotic argument for the
 //! session API: a monitoring loop that re-analyzes after every window pays
 //!
-//! * **batch** (`BlockOptR::analyze_ledger` per window): O(total log) per
+//! * **batch** (`Analyzer::analyze_ledger` per window): O(total log) per
 //!   window — the per-window cost *grows* with chain length;
 //! * **streaming** (`Session::ingest_block` + `snapshot`): O(new data) per
 //!   ingest plus O(state) per snapshot — the per-window cost stays flat.
@@ -9,7 +9,6 @@
 //! The `..._at_2k` / `..._at_10k` pairs make that visible: batch cost rises
 //! roughly with the prefix length, streaming cost does not.
 
-use blockoptr::pipeline::BlockOptR;
 use blockoptr::session::{Analyzer, Session};
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use fabric_sim::ledger::Ledger;
@@ -63,7 +62,7 @@ fn bench_streaming(c: &mut Criterion) {
     ] {
         let ledger = prefix(&full, depth + window);
         group.bench_function(label, |b| {
-            b.iter(|| black_box(BlockOptR::new().analyze_ledger(&ledger)))
+            b.iter(|| black_box(Analyzer::new().analyze_ledger(&ledger).unwrap()))
         });
     }
 

@@ -1,7 +1,7 @@
 //! Calibration scratchpad for recommendation fidelity: prints the
 //! recommendation set BlockOptR derives for each paper workload.
 
-use blockoptr::pipeline::run_and_analyze;
+use bench::experiments::run_and_analyze;
 use fabric_sim::config::NetworkConfig;
 use workload::spec::{ControlVariables, PolicyChoice, WorkloadType};
 use workload::{drm, dv, ehr, lap, scm, synthetic};

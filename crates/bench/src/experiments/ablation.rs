@@ -14,10 +14,10 @@
 
 use super::{run_and_analyze, ExpCtx};
 use crate::table::FigureTable;
-use blockoptr::apply::{apply_system_level, apply_user_level};
 use blockoptr::metrics::MetricConfig;
-use blockoptr::pipeline::BlockOptR;
+use blockoptr::plan::OptimizationPlan;
 use blockoptr::recommend::Thresholds;
+use blockoptr::session::Analyzer;
 use std::fmt::Write as _;
 use workload::spec::ControlVariables;
 
@@ -52,15 +52,15 @@ pub fn abl1(ctx: &ExpCtx) -> String {
     t.add("surged to 700 tps", "W/O", &wo_b);
 
     // Stale: calm-regime recommendations applied to the surge.
-    let (requests, _) = apply_user_level(&bundle_b.requests, &analysis_a.recommendations);
-    let (cfg, _) = apply_system_level(&cv_b.network_config(), &analysis_a.recommendations);
-    let (stale, _) = run_and_analyze(&bundle_b.clone().with_requests(requests), cfg);
+    let (stale_bundle, cfg, _) =
+        OptimizationPlan::from_analysis(&analysis_a).transform(&bundle_b, &cv_b.network_config());
+    let (stale, _) = run_and_analyze(&stale_bundle, cfg);
     t.add("surged to 700 tps", "stale recs (from 50 tps)", &stale);
 
     // Fresh: re-run BlockOptR on the surge and apply its recommendations.
-    let (requests, _) = apply_user_level(&bundle_b.requests, &analysis_b.recommendations);
-    let (cfg, _) = apply_system_level(&cv_b.network_config(), &analysis_b.recommendations);
-    let (fresh, _) = run_and_analyze(&bundle_b.clone().with_requests(requests), cfg);
+    let (fresh_bundle, cfg, _) =
+        OptimizationPlan::from_analysis(&analysis_b).transform(&bundle_b, &cv_b.network_config());
+    let (fresh, _) = run_and_analyze(&fresh_bundle, cfg);
     t.add("surged to 700 tps", "fresh recs (re-run)", &fresh);
 
     let mut out = t.render();
@@ -207,12 +207,11 @@ pub fn abl3(ctx: &ExpCtx) -> String {
         ),
     ];
     for (label, metric_config, thresholds) in cases {
-        let analyzer = BlockOptR {
-            metric_config,
-            thresholds,
-            ..Default::default()
-        };
-        let analysis = analyzer.analyze_ledger(&output.ledger);
+        let analysis = Analyzer::new()
+            .metric_config(metric_config)
+            .thresholds(thresholds)
+            .analyze_ledger(&output.ledger)
+            .expect("the synthetic run commits transactions");
         let _ = writeln!(
             out,
             "{:<44} {}",

@@ -2,9 +2,10 @@
 //! baselines (§6.4) — the paper's demonstration that higher-level
 //! recommendations still pay off on system-optimized Fabrics.
 
-use super::{only, run_and_analyze, ExpCtx};
+use super::{run_and_analyze, ExpCtx};
 use crate::table::FigureTable;
-use blockoptr::apply::{apply_system_level, apply_user_level};
+use blockoptr::plan::OptimizationPlan;
+use blockoptr::recommend::Level;
 use fabric_sim::config::SchedulerKind;
 use workload::optimize;
 use workload::spec::{ControlVariables, PolicyChoice, WorkloadType};
@@ -35,9 +36,10 @@ pub fn fig18(ctx: &ExpCtx) -> String {
             .with_scheduler(SchedulerKind::FabricSharp);
         let (wo, analysis) = run_and_analyze(&bundle, cfg.clone());
         t.add(&format!("fabricsharp / {}", cv.label()), "W/O", &wo);
-        let (restructured, _) =
-            apply_system_level(&cfg, &only(&analysis, "Endorser restructuring"));
-        let (w, _) = run_and_analyze(&bundle, restructured);
+        let (restructured, restructured_cfg, _) = OptimizationPlan::from_analysis(&analysis)
+            .select(&["Endorser restructuring"])
+            .transform(&bundle, &cfg);
+        let (w, _) = run_and_analyze(&restructured, restructured_cfg);
         t.add(
             &format!("fabricsharp / {}", cv.label()),
             "endorser restructuring",
@@ -94,20 +96,30 @@ pub fn fig19(ctx: &ExpCtx) -> String {
         let (w, _) = run_and_analyze(&throttled, cfg.clone());
         t.add(&label, "rate control", &w);
 
-        let (requests, applied) =
-            apply_user_level(&bundle.requests, &only(&analysis, "Activity reordering"));
-        if applied.is_empty() {
+        let reordering =
+            OptimizationPlan::from_analysis(&analysis).select(&["Activity reordering"]);
+        if reordering.is_empty() {
             t.add(&label, "reordering (n/a)", &wo);
         } else {
-            let reordered = bundle.clone().with_requests(requests.clone());
+            let (reordered, _, _) = reordering.transform(&bundle, &cfg);
             let (w, _) = run_and_analyze(&reordered, cfg.clone());
             t.add(&label, "activity reordering", &w);
         }
 
-        let (requests, _) = apply_user_level(&bundle.requests, &analysis.recommendations);
+        // Every user-level rewrite, then Table 4's rate: the system-level
+        // recommendations stay out of this row.
+        let user_level: Vec<&str> = analysis
+            .recommendations
+            .iter()
+            .filter(|r| r.level() == Level::User)
+            .map(|r| r.name())
+            .collect();
+        let (rewritten, _, _) = OptimizationPlan::from_analysis(&analysis)
+            .select(&user_level)
+            .transform(&bundle, &cfg);
         let all = bundle
             .clone()
-            .with_requests(optimize::rate_control(&requests, 100.0));
+            .with_requests(optimize::rate_control(&rewritten.requests, 100.0));
         let (w, _) = run_and_analyze(&all, cfg);
         t.add(&label, "all optimizations", &w);
     }

@@ -11,8 +11,8 @@ pub mod synthetic;
 pub mod tab4;
 pub mod usecases;
 
-use blockoptr::pipeline::{Analysis, BlockOptR};
-use blockoptr::recommend::Recommendation;
+use blockoptr::pipeline::Analysis;
+use blockoptr::session::Analyzer;
 use fabric_sim::config::NetworkConfig;
 use fabric_sim::report::SimReport;
 use workload::WorkloadBundle;
@@ -169,18 +169,8 @@ pub fn registry() -> Vec<Experiment> {
 /// Run a bundle and return `(report, analysis)`.
 pub fn run_and_analyze(bundle: &WorkloadBundle, config: NetworkConfig) -> (SimReport, Analysis) {
     let output = bundle.run(config);
-    let analysis = BlockOptR::new().analyze_ledger(&output.ledger);
+    let analysis = Analyzer::new()
+        .analyze_ledger(&output.ledger)
+        .expect("experiment workloads commit transactions");
     (output.report, analysis)
-}
-
-/// Keep only the recommendation with the given name (a figure evaluates one
-/// optimization at a time; the paper applies each recommendation separately
-/// before combining them in Figure 12).
-pub fn only(analysis: &Analysis, name: &str) -> Vec<Recommendation> {
-    analysis
-        .recommendations
-        .iter()
-        .filter(|r| r.name() == name)
-        .cloned()
-        .collect()
 }

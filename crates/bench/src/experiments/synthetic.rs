@@ -1,8 +1,8 @@
 //! Table 3 and Figures 7–12: the synthetic-workload experiments.
 
-use super::{only, run_and_analyze, ExpCtx};
+use super::{run_and_analyze, ExpCtx};
 use crate::table::FigureTable;
-use blockoptr::apply::{apply_system_level, apply_user_level};
+use blockoptr::plan::OptimizationPlan;
 use workload::spec::{ControlVariables, PolicyChoice, WorkloadType};
 use workload::synthetic;
 
@@ -178,11 +178,10 @@ pub fn fig7(ctx: &ExpCtx) -> String {
         let bundle = synthetic::generate(&cv);
         let (wo, analysis) = run_and_analyze(&bundle, cv.network_config());
         t.add(&cv.label(), "W/O", &wo);
-        let (cfg, _) = apply_system_level(
-            &cv.network_config(),
-            &only(&analysis, "Endorser restructuring"),
-        );
-        let (w, _) = run_and_analyze(&bundle, cfg);
+        let (restructured, cfg, _) = OptimizationPlan::from_analysis(&analysis)
+            .select(&["Endorser restructuring"])
+            .transform(&bundle, &cv.network_config());
+        let (w, _) = run_and_analyze(&restructured, cfg);
         t.add(&cv.label(), "W (restructured)", &w);
     }
     t.render()
@@ -199,11 +198,10 @@ pub fn fig8(ctx: &ExpCtx) -> String {
     let bundle = synthetic::generate(&cv);
     let (wo, analysis) = run_and_analyze(&bundle, cv.network_config());
     t.add(&cv.label(), "W/O", &wo);
-    let (cfg, _) = apply_system_level(
-        &cv.network_config(),
-        &only(&analysis, "Client resource boost"),
-    );
-    let (w, _) = run_and_analyze(&bundle, cfg);
+    let (boosted, cfg, _) = OptimizationPlan::from_analysis(&analysis)
+        .select(&["Client resource boost"])
+        .transform(&bundle, &cv.network_config());
+    let (w, _) = run_and_analyze(&boosted, cfg);
     t.add(&cv.label(), "W (boosted clients)", &w);
     t.render()
 }
@@ -241,13 +239,14 @@ pub fn fig9(ctx: &ExpCtx) -> String {
             cv.label()
         };
         t.add(&label, "W/O", &wo);
-        let recs = only(&analysis, "Block size adaptation");
-        if recs.is_empty() {
+        if !analysis.recommends("Block size adaptation") {
             t.add(&label, "W (no change)", &wo);
             continue;
         }
-        let (cfg, _) = apply_system_level(&cv.network_config(), &recs);
-        let (w, _) = run_and_analyze(&bundle, cfg);
+        let (adapted, cfg, _) = OptimizationPlan::from_analysis(&analysis)
+            .select(&["Block size adaptation"])
+            .transform(&bundle, &cv.network_config());
+        let (w, _) = run_and_analyze(&adapted, cfg);
         t.add(&label, "W (adapted)", &w);
     }
     t.render()
@@ -402,14 +401,14 @@ pub fn fig11(ctx: &ExpCtx) -> String {
             cv.label()
         };
         t.add(&label, "W/O", &wo);
-        let recs = only(&analysis, "Activity reordering");
-        if recs.is_empty() {
+        if !analysis.recommends("Activity reordering") {
             t.add(&label, "W (not recommended)", &wo);
             continue;
         }
-        let (requests, _) = apply_user_level(&bundle.requests, &recs);
-        let reordered = bundle.clone().with_requests(requests);
-        let (w, _) = run_and_analyze(&reordered, cv.network_config());
+        let (reordered, cfg, _) = OptimizationPlan::from_analysis(&analysis)
+            .select(&["Activity reordering"])
+            .transform(&bundle, &cv.network_config());
+        let (w, _) = run_and_analyze(&reordered, cfg);
         t.add(&label, "W (reordered)", &w);
     }
     t.render()
@@ -466,9 +465,10 @@ pub fn fig12(ctx: &ExpCtx) -> String {
         let bundle = synthetic::generate(&cv);
         let (wo, analysis) = run_and_analyze(&bundle, cv.network_config());
         t.add(&cv.label(), "W/O", &wo);
-        let (requests, _) = apply_user_level(&bundle.requests, &analysis.recommendations);
-        let (cfg, _) = apply_system_level(&cv.network_config(), &analysis.recommendations);
-        let optimized = bundle.clone().with_requests(requests);
+        // Contract-level actions stay manual: the synthetic workload ships
+        // no contract variants.
+        let (optimized, cfg, _) =
+            OptimizationPlan::from_analysis(&analysis).transform(&bundle, &cv.network_config());
         let (w, _) = run_and_analyze(&optimized, cfg);
         t.add(&cv.label(), "W (all)", &w);
     }

@@ -77,7 +77,7 @@ fn usecase_outcome(
     ensured: &[(&str, Action)],
 ) -> PlanOutcome {
     let (bundle, cfg) = spec.build().expect("figure specs validate");
-    let (baseline, analysis) = run_and_analyze(&bundle, cfg.clone());
+    let (baseline, analysis) = run_and_analyze(&bundle, cfg);
     let mut plan = OptimizationPlan::from_analysis(&analysis).select(sources);
     for (source, action) in ensured {
         ensure(&mut plan, source, action.clone());
@@ -85,14 +85,10 @@ fn usecase_outcome(
     // The per-action and combined re-runs are independent simulations:
     // fan them out over the context's inner thread budget (the grid
     // runner already parallelizes across experiments, so this avoids
-    // nested-pool oversubscription). The bundle carries the spec as
-    // provenance, so the outcome also records the optimized spec.
-    plan.execute_from_with(
-        &bundle,
-        &cfg,
-        baseline,
-        &PlanConfig::new(1, ctx.plan_threads),
-    )
+    // nested-pool oversubscription). Seed 0 builds the spec verbatim, so
+    // the measured baseline is reused as is.
+    plan.execute_spec_from_with(spec, baseline, &PlanConfig::new(1, ctx.plan_threads))
+        .expect("figure specs validate")
 }
 
 /// Figure 13: SCM — rate control, reordering, pruning, all.

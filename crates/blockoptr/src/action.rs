@@ -17,10 +17,9 @@
 //!   prepared variant reports the action as manual).
 //!
 //! Actions are serializable, so a plan can be exported, reviewed, and
-//! replayed. The [`plan`](crate::plan) module executes them in a closed
-//! loop; [`apply_user_level`](crate::apply::apply_user_level) /
-//! [`apply_system_level`](crate::apply::apply_system_level) remain as thin
-//! wrappers for the paper-era call sites.
+//! replayed. The [`plan`](crate::plan) module applies them
+//! ([`OptimizationPlan::transform`](crate::plan::OptimizationPlan::transform))
+//! and executes them in a closed loop.
 
 use crate::recommend::Recommendation;
 use fabric_sim::config::NetworkConfig;
@@ -468,6 +467,7 @@ mod tests {
             "P1 needs 2 endorsers → generalized to P4"
         );
         assert_eq!(out.endorser_skew, 0.0);
+        assert!(out.endorsement_policy.mandatory_orgs().is_empty());
 
         let cb = Recommendation::ClientResourceBoost {
             org: "Org2".into(),

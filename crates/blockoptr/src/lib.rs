@@ -40,8 +40,6 @@
 //! * Batch one-shot: [`Analyzer::analyze_ledger`](session::Analyzer::analyze_ledger)
 //!   (or `analyze_log` / `analyze_json`), all returning
 //!   `Result<_, AnalyzeError>`.
-//! * Paper-era façade: [`BlockOptR`] keeps the original
-//!   infallible batch signatures as thin wrappers over a one-shot session.
 //!
 //! ## Rule engine and the closed loop
 //!
@@ -52,25 +50,17 @@
 //! recommendation lowers to typed, serializable
 //! [`Action`]s, and an
 //! [`OptimizationPlan`] closes the paper's §4.5
-//! loop: apply the actions, re-run the workload, and report per-action
-//! before/after deltas as a [`PlanOutcome`] (the
-//! `blockoptr optimize` subcommand end to end).
-//!
-//! ### Migrating from `BlockOptR::analyze_log`
-//!
-//! ```text
-//! // before                                   // after
-//! BlockOptR::new().analyze_log(log)           Analyzer::new().analyze_log(log)?
-//! BlockOptR { thresholds, ..Default::default() }
-//!                                             Analyzer::new().thresholds(thresholds)
-//! auto_tune(&log) + BlockOptR { .. }          Analyzer::new().auto_tune(true)
-//! ```
+//! loop: [`execute_spec_with`](OptimizationPlan::execute_spec_with) applies
+//! the actions to a [`ScenarioSpec`](workload::ScenarioSpec), re-runs the
+//! workload, and reports per-action before/after deltas as a
+//! [`PlanOutcome`] (the `blockoptr optimize` subcommand end to end).
+//! [`OptimizationPlan::transform`] applies the same actions to a
+//! materialized bundle without running anything.
 //!
 //! Fallible paths (empty logs, malformed JSON, degenerate configuration)
 //! return [`AnalyzeError`] instead of panicking.
 
 pub mod action;
-pub mod apply;
 pub mod autotune;
 pub mod caseid;
 pub mod compliance;
@@ -86,13 +76,12 @@ pub mod resilience;
 pub mod session;
 
 pub use action::{Action, NetworkChange, RetryChange, ScheduleRewrite};
-pub use apply::{apply_system_level, apply_user_level};
 pub use autotune::auto_tune;
 pub use caseid::derive_case_ids;
 pub use compliance::{verify_rollout, ComplianceReport};
 pub use eventlog::to_event_log;
 pub use log::{BlockchainLog, TxRecord};
-pub use pipeline::{Analysis, BlockOptR};
+pub use pipeline::Analysis;
 pub use plan::{
     t95, ActionOutcome, ActionResult, MeasuredReport, MetricStats, OptimizationPlan, PlanConfig,
     PlanOutcome, PlannedAction, SeedReport,
@@ -105,11 +94,10 @@ pub use session::{AnalyzeError, Analyzer, Session, SessionFootprint, Snapshot, W
 /// One-stop imports for the common pipeline.
 pub mod prelude {
     pub use crate::action::{Action, NetworkChange, RetryChange, ScheduleRewrite};
-    pub use crate::apply::{apply_system_level, apply_user_level};
     pub use crate::autotune::auto_tune;
     pub use crate::compliance::{verify_rollout, ComplianceReport};
     pub use crate::log::BlockchainLog;
-    pub use crate::pipeline::{Analysis, BlockOptR};
+    pub use crate::pipeline::Analysis;
     pub use crate::plan::{OptimizationPlan, PlanConfig, PlanOutcome};
     pub use crate::recommend::rules::{Finding, Rule, RuleCtx, RuleSet};
     pub use crate::recommend::{Level, Recommendation, Thresholds};

@@ -2,7 +2,7 @@
 //! [`Analysis`].
 //!
 //! The primary entry points live in [`crate::session`]: configure an
-//! [`Analyzer`], open a [`Session`](crate::session::Session), ingest blocks,
+//! [`Analyzer`](crate::session::Analyzer), open a [`Session`](crate::session::Session), ingest blocks,
 //! snapshot. The batch workflow is a one-shot session:
 //!
 //! ```no_run
@@ -27,41 +27,14 @@
 //!     assert!(windowed.log.len() <= analysis.log.len());
 //! }
 //! ```
-//!
-//! [`BlockOptR`] is the paper-era batch façade, kept so existing callers
-//! (and the paper's vocabulary) continue to work; new code should use
-//! [`Analyzer`] directly — it returns `Result` instead of panicking and
-//! supports incremental sessions and auto-tuning.
 
 use crate::caseid::CaseDerivation;
 use crate::log::BlockchainLog;
-use crate::metrics::{MetricConfig, Metrics};
+use crate::metrics::Metrics;
 use crate::recommend::{Recommendation, Thresholds};
-use crate::session::Analyzer;
-use fabric_sim::config::NetworkConfig;
-use fabric_sim::ledger::Ledger;
-use fabric_sim::sim::SimOutput;
 use process_mining::eventlog::EventLog;
-use process_mining::heuristics::{DependencyGraph, HeuristicsConfig};
+use process_mining::heuristics::DependencyGraph;
 use std::sync::Arc;
-use workload::WorkloadBundle;
-
-/// The paper-era batch analyzer — a thin wrapper over a one-shot
-/// [`session`](Analyzer::session).
-///
-/// Soft-deprecated: prefer [`Analyzer`], which adds builder-style
-/// configuration, incremental [`Session`](crate::session::Session)s,
-/// auto-tuning, and typed errors. These wrappers keep the original
-/// infallible signatures (an empty ledger yields an empty analysis).
-#[derive(Debug, Clone, Default)]
-pub struct BlockOptR {
-    /// Metric-derivation knobs (interval size, hotkey threshold).
-    pub metric_config: MetricConfig,
-    /// Recommendation thresholds.
-    pub thresholds: Thresholds,
-    /// Process-model mining thresholds.
-    pub mining: HeuristicsConfig,
-}
 
 /// Everything one analysis produces.
 ///
@@ -89,45 +62,6 @@ pub struct Analysis {
     pub recommendations: Vec<Recommendation>,
 }
 
-impl BlockOptR {
-    /// Analyzer with the paper's default thresholds.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The equivalent [`Analyzer`] configuration.
-    pub fn to_analyzer(&self) -> Analyzer {
-        Analyzer::new()
-            .metric_config(self.metric_config)
-            .thresholds(self.thresholds.clone())
-            .mining(self.mining)
-    }
-
-    /// Analyze a ledger: preprocess → metrics → event log → model →
-    /// recommendations.
-    pub fn analyze_ledger(&self, ledger: &Ledger) -> Analysis {
-        let mut session = self
-            .to_analyzer()
-            .session()
-            .expect("batch wrapper keeps the paper's positive interval");
-        session.ingest_ledger(ledger);
-        session.snapshot_or_empty().with_sorted_traces()
-    }
-
-    /// Analyze an already-extracted blockchain log. Records may arrive in
-    /// any order; they are sorted into commit order first.
-    pub fn analyze_log(&self, log: BlockchainLog) -> Analysis {
-        let mut session = self
-            .to_analyzer()
-            .session()
-            .expect("batch wrapper keeps the paper's positive interval");
-        session
-            .ingest_log(crate::session::into_commit_order(log))
-            .expect("commit-ordered records cannot be rejected");
-        session.snapshot_or_empty().with_sorted_traces()
-    }
-}
-
 impl Analysis {
     /// Reorder the event log's traces by case id, matching
     /// [`to_event_log`](crate::eventlog::to_event_log)'s ordering. The
@@ -152,30 +86,30 @@ impl Analysis {
     }
 }
 
-/// Convenience: run a workload and analyze the resulting ledger.
-pub fn run_and_analyze(bundle: &WorkloadBundle, config: NetworkConfig) -> (SimOutput, Analysis) {
-    let output = bundle.run(config);
-    let analysis = BlockOptR::new().analyze_ledger(&output.ledger);
-    (output, analysis)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use workload::spec::ControlVariables;
+    use crate::session::Analyzer;
+    use fabric_sim::ledger::Ledger;
+    use fabric_sim::sim::SimOutput;
+    use workload::ScenarioSpec;
 
-    fn small_cv() -> ControlVariables {
-        ControlVariables {
-            transactions: 2_000,
-            ..Default::default()
+    /// Run the built-in synthetic scenario (at `txs` transactions, or its
+    /// paper default) and analyze the resulting ledger.
+    fn analyze_synthetic(txs: Option<usize>) -> (SimOutput, Analysis) {
+        let mut spec = ScenarioSpec::builtin("synthetic").unwrap();
+        if let Some(txs) = txs {
+            spec = spec.with_transactions(txs);
         }
+        let (bundle, config) = spec.build().unwrap();
+        let output = bundle.run(config);
+        let analysis = Analyzer::new().analyze_ledger(&output.ledger).unwrap();
+        (output, analysis)
     }
 
     #[test]
     fn pipeline_produces_complete_analysis() {
-        let cv = small_cv();
-        let bundle = workload::synthetic::generate(&cv);
-        let (output, analysis) = run_and_analyze(&bundle, cv.network_config());
+        let (output, analysis) = analyze_synthetic(Some(2_000));
         assert_eq!(analysis.log.len(), output.report.committed);
         assert!(analysis.metrics.rates.tr > 0.0);
         assert!(!analysis.event_log.is_empty());
@@ -188,9 +122,7 @@ mod tests {
     fn default_synthetic_recommends_sensibly() {
         // At send rate 300 with block count 100, the mismatch fires block
         // size adaptation; conflicts are mostly read-vs-update (reorderable).
-        let cv = ControlVariables::default();
-        let bundle = workload::synthetic::generate(&cv);
-        let (_, analysis) = run_and_analyze(&bundle, cv.network_config());
+        let (_, analysis) = analyze_synthetic(None);
         assert!(
             analysis.recommends("Block size adaptation"),
             "{:?}",
@@ -205,9 +137,7 @@ mod tests {
 
     #[test]
     fn analysis_accessors() {
-        let cv = small_cv();
-        let bundle = workload::synthetic::generate(&cv);
-        let (_, analysis) = run_and_analyze(&bundle, cv.network_config());
+        let (_, analysis) = analyze_synthetic(Some(2_000));
         let names = analysis.recommendation_names();
         for n in &names {
             assert!(analysis.recommends(n));
@@ -216,22 +146,14 @@ mod tests {
     }
 
     #[test]
-    fn wrapper_matches_analyzer_path() {
-        let cv = small_cv();
-        let bundle = workload::synthetic::generate(&cv);
-        let output = bundle.run(cv.network_config());
-        let wrapped = BlockOptR::new().analyze_ledger(&output.ledger);
-        let direct = Analyzer::new().analyze_ledger(&output.ledger).unwrap();
-        assert_eq!(
-            wrapped.recommendation_names(),
-            direct.recommendation_names()
-        );
-        assert_eq!(wrapped.metrics.rates.tr, direct.metrics.rates.tr);
-    }
-
-    #[test]
     fn empty_ledger_yields_empty_analysis() {
-        let analysis = BlockOptR::new().analyze_ledger(&Ledger::new());
+        // The one-shot entry points report an empty ledger as an error; a
+        // session's `snapshot_or_empty` still renders it as an empty
+        // analysis.
+        assert!(Analyzer::new().analyze_ledger(&Ledger::new()).is_err());
+        let mut session = Analyzer::new().session().unwrap();
+        session.ingest_ledger(&Ledger::new());
+        let analysis = session.snapshot_or_empty();
         assert!(analysis.log.is_empty());
         assert!(analysis.recommendations.is_empty());
     }

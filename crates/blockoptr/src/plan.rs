@@ -8,10 +8,9 @@
 //!
 //! 1. lower an [`Analysis`]'s recommendations to typed
 //!    [`Action`]s ([`OptimizationPlan::from_analysis`]);
-//! 2. [`execute`](OptimizationPlan::execute) against the workload bundle
-//!    and network configuration that produced the log: run the baseline,
-//!    re-run with each action applied alone, then with all actions
-//!    combined;
+//! 2. [`execute_spec_with`](OptimizationPlan::execute_spec_with) against
+//!    the [`ScenarioSpec`] that produced the log: run the baseline, re-run
+//!    with each action applied alone, then with all actions combined;
 //! 3. read the [`PlanOutcome`]: per-action before/after success-rate,
 //!    latency, and throughput deltas — the Table 4 → Figures 13–17 loop.
 //!
@@ -20,13 +19,13 @@
 //! A plan execution is configured by a [`PlanConfig`]:
 //!
 //! * **`seeds`** — every measured configuration (baseline, each action,
-//!   the combination) is simulated once per seed. Seed 0 is the network
-//!   configuration's own seed; seed *i* is derived from it by XOR-ing a
-//!   golden-ratio multiple, so the list is deterministic and collision
-//!   free. Each [`MeasuredReport`] keeps the primary seed's full report,
-//!   one scalar [`SeedReport`] row per seed, the merged latency sketch,
-//!   and mean / sample standard deviation / 95 % confidence half-width
-//!   ([`MetricStats`]) for the three figure metrics. Deltas are computed
+//!   the combination) is simulated once per seed. Seed 0 is the spec
+//!   itself, built verbatim; seed *i* re-seeds the spec with its seed
+//!   XOR-ed with a golden-ratio multiple, so the list is deterministic and
+//!   collision free. Each [`MeasuredReport`] keeps the primary seed's
+//!   full report, one scalar [`SeedReport`] row per seed, the merged
+//!   latency sketch, and mean / sample standard deviation / 95 %
+//!   confidence half-width ([`MetricStats`]) for the three figure metrics. Deltas are computed
 //!   **pairwise per seed** (action seed *i* minus baseline seed *i*) and
 //!   then aggregated, which cancels the common per-seed workload noise —
 //!   the same design as the seed-averaged directional tests.
@@ -49,16 +48,15 @@
 //! ```no_run
 //! use blockoptr::plan::{OptimizationPlan, PlanConfig};
 //! use blockoptr::session::Analyzer;
-//! use workload::scm;
+//! use workload::ScenarioSpec;
 //!
-//! let bundle = scm::generate(&scm::ScmSpec::default());
-//! let config = fabric_sim::config::NetworkConfig::default();
-//! let output = bundle.run(config.clone());
-//! let analysis = Analyzer::new().analyze_ledger(&output.ledger).unwrap();
-//!
-//! let plan = OptimizationPlan::from_analysis(&analysis);
-//! // Five seeds per configuration, fanned out over four worker threads.
-//! let outcome = plan.execute_with(&bundle, &config, &PlanConfig::new(5, 4));
+//! let spec = ScenarioSpec::builtin("scm").unwrap();
+//! let (plan, baseline) = OptimizationPlan::from_spec(&spec, &Analyzer::new()).unwrap();
+//! // Five seeds per configuration, fanned out over four worker threads;
+//! // seed 0 reuses the baseline run `from_spec` already measured.
+//! let outcome = plan
+//!     .execute_spec_from_with(&spec, baseline.report, &PlanConfig::new(5, 4))
+//!     .unwrap();
 //! for action in &outcome.actions {
 //!     if let Some(stats) = action.success_rate_delta_stats(&outcome.baseline) {
 //!         println!(
@@ -437,10 +435,8 @@ pub struct PlanOutcome {
     pub combined: Option<MeasuredReport>,
     /// The *optimized scenario spec* — the baseline spec with every
     /// applicable action lowered to a spec transform
-    /// ([`OptimizationPlan::apply_to_spec`]). Present whenever the
-    /// execution knew its spec (spec-driven runs, or bundles carrying
-    /// provenance); serialize it, hand it to the operator, and the tuned
-    /// configuration is replayable as data.
+    /// ([`OptimizationPlan::apply_to_spec`]). Serialize it, hand it to the
+    /// operator, and the tuned configuration is replayable as data.
     pub optimized_spec: Option<ScenarioSpec>,
 }
 
@@ -657,160 +653,12 @@ impl OptimizationPlan {
             .collect()
     }
 
-    /// Execute the closed loop with the default [`PlanConfig`] (one seed):
-    /// run the baseline, re-run with each action applied alone, then with
-    /// all applicable actions combined.
-    ///
-    /// Simulation runs are deterministic (the configuration carries the
-    /// seed), so the deltas measure the optimizations, not run-to-run
-    /// noise.
-    pub fn execute(&self, bundle: &WorkloadBundle, config: &NetworkConfig) -> PlanOutcome {
-        self.execute_with(bundle, config, &PlanConfig::default())
-    }
-
-    /// Execute the closed loop under an explicit [`PlanConfig`]: every
-    /// measured configuration runs once per seed, fanned out over
-    /// `plan_config.threads` workers. Identical results for any thread
-    /// count.
-    pub fn execute_with(
-        &self,
-        bundle: &WorkloadBundle,
-        config: &NetworkConfig,
-        plan_config: &PlanConfig,
-    ) -> PlanOutcome {
-        self.run_grid(bundle, config, plan_config, None)
-    }
-
-    /// Like [`execute`](Self::execute) but reusing an already-measured
-    /// primary-seed baseline report for `(bundle, config)` — the common
-    /// case when the plan was lowered from an analysis of that very run.
-    pub fn execute_from(
-        &self,
-        bundle: &WorkloadBundle,
-        config: &NetworkConfig,
-        baseline: SimReport,
-    ) -> PlanOutcome {
-        self.execute_from_with(bundle, config, baseline, &PlanConfig::default())
-    }
-
-    /// [`execute_with`](Self::execute_with) reusing an already-measured
-    /// primary-seed baseline report (additional seeds still re-run the
-    /// baseline).
-    pub fn execute_from_with(
-        &self,
-        bundle: &WorkloadBundle,
-        config: &NetworkConfig,
-        baseline: SimReport,
-        plan_config: &PlanConfig,
-    ) -> PlanOutcome {
-        self.run_grid(bundle, config, plan_config, Some(baseline))
-    }
-
-    /// Build and execute the `(configuration, seed)` grid.
-    fn run_grid(
-        &self,
-        bundle: &WorkloadBundle,
-        config: &NetworkConfig,
-        plan_config: &PlanConfig,
-        reused_baseline: Option<SimReport>,
-    ) -> PlanOutcome {
-        let seeds = plan_config.seed_list(config.seed);
-        let prepared = self.prepare_actions(bundle, config);
-        let any_applied = prepared
-            .iter()
-            .any(|p| matches!(p, PreparedAction::Applied(..)));
-        let combined_pair = any_applied.then(|| {
-            let (all_bundle, all_config, _manual) = self.transform(bundle, config);
-            (all_bundle, all_config)
-        });
-
-        // The job grid, slot-major then seed order. Slot 0 is the
-        // baseline, slots 1..=n the actions, slot n+1 the combination.
-        // The pool returns results in job order, so regrouping by slot
-        // preserves seed order deterministically.
-        let mut jobs: Vec<(usize, WorkloadBundle, NetworkConfig)> = Vec::new();
-        for (si, &seed) in seeds.iter().enumerate() {
-            if si == 0 && reused_baseline.is_some() {
-                continue;
-            }
-            jobs.push((0, bundle.clone(), config.clone().with_seed(seed)));
-        }
-        for (ai, prep) in prepared.iter().enumerate() {
-            if let PreparedAction::Applied(pair) = prep {
-                let (b, c) = pair.as_ref();
-                for &seed in &seeds {
-                    jobs.push((ai + 1, b.clone(), c.clone().with_seed(seed)));
-                }
-            }
-        }
-        let combined_slot = self.actions.len() + 1;
-        if let Some((b, c)) = &combined_pair {
-            for &seed in &seeds {
-                jobs.push((combined_slot, b.clone(), c.clone().with_seed(seed)));
-            }
-        }
-
-        let results =
-            ThreadPool::new(plan_config.threads).map(jobs, |(slot, b, c)| (slot, b.run(c).report));
-        let mut per_slot: Vec<Vec<SimReport>> = vec![Vec::new(); combined_slot + 1];
-        for (slot, report) in results {
-            per_slot[slot].push(report);
-        }
-        if let Some(report) = reused_baseline {
-            per_slot[0].insert(0, report);
-        }
-
-        let mut slots = per_slot.into_iter();
-        let baseline = MeasuredReport::from_reports(slots.next().expect("baseline slot"));
-        let actions = self
-            .actions
-            .iter()
-            .zip(prepared.iter().zip(&mut slots))
-            .map(|(planned, (prep, reports))| {
-                let after = match prep {
-                    PreparedAction::Applied(..) => Some(MeasuredReport::from_reports(reports)),
-                    PreparedAction::Manual => None,
-                };
-                ActionOutcome {
-                    source: planned.source.clone(),
-                    action: planned.action.clone(),
-                    result: if after.is_some() {
-                        ActionResult::Applied
-                    } else {
-                        ActionResult::ManualRequired
-                    },
-                    after,
-                }
-            })
-            .collect();
-        let combined = combined_pair
-            .is_some()
-            .then(|| MeasuredReport::from_reports(slots.next().expect("combined slot")));
-
-        PlanOutcome {
-            seeds,
-            baseline,
-            actions,
-            combined,
-            // A bundle built from a spec carries it as provenance, so even
-            // the bundle-shaped entry points emit the optimized spec.
-            optimized_spec: bundle.spec().map(|spec| self.apply_to_spec(spec).0),
-        }
-    }
-
-    /// Execute the closed loop against a declarative [`ScenarioSpec`] with
-    /// the default [`PlanConfig`]. See
-    /// [`execute_spec_with`](Self::execute_spec_with).
-    pub fn execute_spec(&self, spec: &ScenarioSpec) -> Result<PlanOutcome, AnalyzeError> {
-        self.execute_spec_with(spec, &PlanConfig::default())
-    }
-
-    /// Execute the closed loop against a declarative [`ScenarioSpec`]:
-    /// every measured configuration runs once per seed, and — unlike the
-    /// bundle-shaped [`execute_with`](Self::execute_with), which replays
-    /// one materialized schedule under different network seeds — **each
-    /// seed rebuilds the workload from a re-seeded spec**
-    /// ([`ScenarioSpec::with_seed`]). The resulting confidence intervals
+    /// Execute the closed loop against a declarative [`ScenarioSpec`]: run
+    /// the baseline, re-run with each action applied alone, then with all
+    /// applicable actions combined. Every measured configuration runs once
+    /// per seed, fanned out over `plan_config.threads` workers (identical
+    /// results for any thread count), and **each seed rebuilds the
+    /// workload from a re-seeded spec** ([`ScenarioSpec::with_seed`]). The resulting confidence intervals
     /// therefore reflect workload variance (schedules, key choices,
     /// invokers), not just endorser selection. Deltas stay seed-paired:
     /// action seed *i* and baseline seed *i* share the same generated
@@ -969,28 +817,32 @@ impl OptimizationPlan {
 mod tests {
     use super::*;
     use crate::action::ScheduleRewrite;
-    use crate::pipeline::BlockOptR;
-    use workload::scm;
-    use workload::spec::ControlVariables;
 
-    fn scm_setup() -> (WorkloadBundle, NetworkConfig, Analysis) {
+    /// A built-in scenario scaled to `txs` transactions.
+    fn builtin(name: &str, txs: usize) -> ScenarioSpec {
+        ScenarioSpec::builtin(name).unwrap().with_transactions(txs)
+    }
+
+    /// Run a spec once and analyze the resulting ledger.
+    fn analyze(spec: &ScenarioSpec) -> Analysis {
+        let (bundle, config) = spec.build().unwrap();
+        Analyzer::new()
+            .analyze_ledger(&bundle.run(config).ledger)
+            .unwrap()
+    }
+
+    fn scm_setup() -> (ScenarioSpec, Analysis) {
         // 6 000 transactions: the same regime the directional
         // optimization-effects tests use (pruning's benefit needs enough
         // anomalous flows to outweigh its extra early-abort latency).
-        let spec = scm::ScmSpec {
-            transactions: 6_000,
-            ..Default::default()
-        };
-        let bundle = scm::generate(&spec);
-        let config = NetworkConfig::default();
-        let output = bundle.run(config.clone());
-        let analysis = BlockOptR::new().analyze_ledger(&output.ledger);
-        (bundle, config, analysis)
+        let spec = builtin("scm", 6_000);
+        let analysis = analyze(&spec);
+        (spec, analysis)
     }
 
     #[test]
     fn scm_plan_lowers_the_expected_actions() {
-        let (_, _, analysis) = scm_setup();
+        let (_, analysis) = scm_setup();
         let plan = OptimizationPlan::from_analysis(&analysis);
         let sources: Vec<&str> = plan.actions.iter().map(|a| a.source.as_str()).collect();
         assert!(sources.contains(&"Activity reordering"), "{sources:?}");
@@ -1007,14 +859,16 @@ mod tests {
 
     #[test]
     fn scm_closed_loop_reproduces_the_improvement_direction() {
-        let (bundle, config, analysis) = scm_setup();
+        let (spec, analysis) = scm_setup();
         let plan = OptimizationPlan::from_analysis(&analysis).select(&[
             "Activity reordering",
             "Transaction rate control",
             "Process model pruning",
         ]);
-        let outcome = plan.execute(&bundle, &config);
-        assert_eq!(outcome.seeds, vec![config.seed]);
+        let outcome = plan
+            .execute_spec_with(&spec, &PlanConfig::default())
+            .unwrap();
+        assert_eq!(outcome.seeds, vec![spec.seed()]);
         assert!(outcome.improved(), "at least one optimization helps");
         for action in &outcome.actions {
             let report = action.report().expect("all SCM actions are applicable");
@@ -1040,16 +894,13 @@ mod tests {
     #[test]
     fn unsupported_variants_are_reported_as_manual() {
         // The synthetic workload ships no contract rewrites.
-        let cv = ControlVariables {
-            transactions: 1_000,
-            ..Default::default()
-        };
-        let bundle = workload::synthetic::generate(&cv);
-        let config = cv.network_config();
+        let spec = builtin("synthetic", 1_000);
         let plan = OptimizationPlan::from_recommendations(&[Recommendation::DeltaWrites {
             activities: vec![("update".into(), 9)],
         }]);
-        let outcome = plan.execute(&bundle, &config);
+        let outcome = plan
+            .execute_spec_with(&spec, &PlanConfig::default())
+            .unwrap();
         assert_eq!(outcome.actions.len(), 1);
         assert!(matches!(
             outcome.actions[0].result,
@@ -1062,7 +913,8 @@ mod tests {
 
     #[test]
     fn transform_composes_schedule_config_and_variants() {
-        let (bundle, config, analysis) = scm_setup();
+        let (spec, analysis) = scm_setup();
+        let (bundle, config) = spec.build().unwrap();
         let plan = OptimizationPlan::from_analysis(&analysis);
         let (new_bundle, new_config, manual) = plan.transform(&bundle, &config);
         assert!(manual.is_empty(), "{manual:?}");
@@ -1116,17 +968,15 @@ mod tests {
     /// produces byte-identical per-seed metrics to the serial one.
     #[test]
     fn parallel_execution_is_byte_identical_to_serial() {
-        let spec = scm::ScmSpec {
-            transactions: 2_000,
-            ..Default::default()
-        };
-        let bundle = scm::generate(&spec);
-        let config = NetworkConfig::default();
-        let analysis = BlockOptR::new().analyze_ledger(&bundle.run(config.clone()).ledger);
-        let plan = OptimizationPlan::from_analysis(&analysis);
+        let spec = builtin("scm", 2_000);
+        let plan = OptimizationPlan::from_analysis(&analyze(&spec));
 
-        let serial = plan.execute_with(&bundle, &config, &PlanConfig::new(3, 1));
-        let parallel = plan.execute_with(&bundle, &config, &PlanConfig::new(3, 4));
+        let serial = plan
+            .execute_spec_with(&spec, &PlanConfig::new(3, 1))
+            .unwrap();
+        let parallel = plan
+            .execute_spec_with(&spec, &PlanConfig::new(3, 4))
+            .unwrap();
 
         assert_eq!(serial.seeds, parallel.seeds);
         let fingerprint = |m: &MeasuredReport| {
@@ -1166,30 +1016,24 @@ mod tests {
 
     #[test]
     fn multi_seed_outcome_carries_statistics() {
-        let spec = scm::ScmSpec {
-            transactions: 2_000,
-            ..Default::default()
-        };
-        let bundle = scm::generate(&spec);
         // Four orgs under the 2-of-4 policy: endorser selection consumes
-        // the seed, so different seeds genuinely produce different runs
-        // (the default two-org majority policy is deterministic and would
-        // collapse the spread to zero).
-        let config = NetworkConfig {
-            orgs: 4,
-            endorsement_policy: fabric_sim::policy::EndorsementPolicy::p4(),
-            ..NetworkConfig::default()
-        };
+        // the seed on top of the re-seeded workload, so different seeds
+        // genuinely produce different runs.
+        let mut spec = builtin("scm", 2_000);
+        spec.network.orgs = 4;
+        spec.network.endorsement_policy = fabric_sim::policy::EndorsementPolicy::p4();
         let plan =
             OptimizationPlan::from_recommendations(&[Recommendation::TransactionRateControl {
                 intervals: vec![0],
                 peak_rate: 300.0,
                 suggested_rate: 100.0,
             }]);
-        let outcome = plan.execute_with(&bundle, &config, &PlanConfig::new(4, 2));
+        let outcome = plan
+            .execute_spec_with(&spec, &PlanConfig::new(4, 2))
+            .unwrap();
 
         assert_eq!(outcome.seeds.len(), 4);
-        assert_eq!(outcome.seeds[0], config.seed, "seed 0 is the config's own");
+        assert_eq!(outcome.seeds[0], spec.seed(), "seed 0 is the spec's own");
         let distinct: BTreeSet<u64> = outcome.seeds.iter().copied().collect();
         assert_eq!(distinct.len(), 4, "derived seeds never collide");
 
@@ -1227,21 +1071,18 @@ mod tests {
 
     #[test]
     fn execute_from_reuses_the_primary_baseline() {
-        let spec = scm::ScmSpec {
-            transactions: 1_500,
-            ..Default::default()
-        };
-        let bundle = scm::generate(&spec);
-        let config = NetworkConfig::default();
-        let baseline = bundle.run(config.clone()).report;
+        let spec = builtin("scm", 1_500);
+        let (bundle, config) = spec.build().unwrap();
+        let baseline = bundle.run(config).report;
         let plan =
             OptimizationPlan::from_recommendations(&[Recommendation::TransactionRateControl {
                 intervals: vec![0],
                 peak_rate: 300.0,
                 suggested_rate: 100.0,
             }]);
-        let outcome =
-            plan.execute_from_with(&bundle, &config, baseline.clone(), &PlanConfig::new(2, 2));
+        let outcome = plan
+            .execute_spec_from_with(&spec, baseline.clone(), &PlanConfig::new(2, 2))
+            .unwrap();
         assert_eq!(outcome.baseline.seeds(), 2);
         assert_eq!(
             outcome.baseline.primary().successes,
@@ -1249,7 +1090,9 @@ mod tests {
             "seed 0 reuses the provided report"
         );
         // And the reused report is identical to a fresh run of seed 0.
-        let fresh = plan.execute_with(&bundle, &config, &PlanConfig::new(2, 2));
+        let fresh = plan
+            .execute_spec_with(&spec, &PlanConfig::new(2, 2))
+            .unwrap();
         assert_eq!(
             fresh.baseline.primary().successes,
             outcome.baseline.primary().successes
@@ -1298,9 +1141,11 @@ mod tests {
 
     #[test]
     fn plan_outcome_round_trips_through_json() {
-        let (bundle, config, analysis) = scm_setup();
+        let (spec, analysis) = scm_setup();
         let plan = OptimizationPlan::from_analysis(&analysis).select(&["Transaction rate control"]);
-        let outcome = plan.execute(&bundle, &config);
+        let outcome = plan
+            .execute_spec_with(&spec, &PlanConfig::default())
+            .unwrap();
         let json = serde_json::to_string(&outcome).unwrap();
         let back: PlanOutcome = serde_json::from_str(&json).unwrap();
         assert_eq!(back.actions.len(), outcome.actions.len());

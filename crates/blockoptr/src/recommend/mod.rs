@@ -3,8 +3,9 @@
 //! Detection is organized as a **pluggable rule engine**: every
 //! recommendation is produced by a [`Rule`] — a small, stateless
 //! detector with an id, an abstraction [`Level`], and a
-//! [`detect`](rules::Rule::detect) method over the derived [`Metrics`] — and
-//! the rules run through a [`RuleSet`] registry. The default
+//! [`detect`](rules::Rule::detect) method over the derived
+//! [`Metrics`](crate::metrics::Metrics) — and the rules run through a
+//! [`RuleSet`] registry. The default
 //! registry, [`RuleSet::paper`](rules::RuleSet::paper), carries the paper's
 //! nine-rule catalogue, one module each under [`rules`]:
 //!
@@ -78,7 +79,6 @@
 //! ```
 
 use crate::log::BlockchainLog;
-use crate::metrics::Metrics;
 use fabric_sim::types::TxType;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -378,8 +378,9 @@ impl Recommendation {
 }
 
 /// Per-activity transaction-type histogram — the only per-record input the
-/// rule engine needs beyond [`Metrics`]. Streaming sessions maintain it
-/// incrementally (one [`observe_activity_type`] call per transaction).
+/// rule engine needs beyond [`Metrics`](crate::metrics::Metrics). Streaming
+/// sessions maintain it incrementally (one [`observe_activity_type`] call
+/// per transaction).
 pub type ActivityTypeHistogram = BTreeMap<String, BTreeMap<TxType, usize>>;
 
 /// Build the histogram from a full log (the batch path).
@@ -429,50 +430,9 @@ pub fn retract_activity_type(hist: &mut ActivityTypeHistogram, activity: &str, t
     }
 }
 
-/// Evaluate the paper's nine-rule catalogue against a full log.
-///
-/// Convenience wrapper over [`RuleSet::paper`]; use a custom
-/// [`RuleSet`] (through [`Analyzer::rules`](crate::session::Analyzer::rules)
-/// or [`RuleSet::evaluate`]) to extend, disable, or re-threshold rules.
-pub fn recommend(
-    log: &BlockchainLog,
-    metrics: &Metrics,
-    thresholds: &Thresholds,
-) -> Vec<Recommendation> {
-    RuleSet::paper().recommendations(&RuleCtx {
-        metrics,
-        thresholds,
-        type_hist: &activity_type_histogram(log),
-        log: Some(log),
-    })
-}
-
-/// Evaluate the paper catalogue from pre-aggregated inputs — the streaming
-/// entry point: every input here is O(state), none is O(log).
-pub fn recommend_from_parts(
-    type_hist: &ActivityTypeHistogram,
-    metrics: &Metrics,
-    thresholds: &Thresholds,
-) -> Vec<Recommendation> {
-    RuleSet::paper().recommendations(&RuleCtx {
-        metrics,
-        thresholds,
-        type_hist,
-        log: None,
-    })
-}
-
 /// Whether a recommendation list contains a given rule (by name).
 pub fn contains(recs: &[Recommendation], name: &str) -> bool {
     recs.iter().any(|r| r.name() == name)
-}
-
-impl Recommendation {
-    /// Keep only the recommendations with the given name (figures evaluate
-    /// one optimization at a time before combining them).
-    pub fn filter_by_name(recs: &[Recommendation], name: &str) -> Vec<Recommendation> {
-        recs.iter().filter(|r| r.name() == name).cloned().collect()
-    }
 }
 
 #[cfg(test)]
@@ -491,7 +451,12 @@ mod tests {
                 ..Default::default()
             },
         );
-        recommend(log, &metrics, thresholds)
+        RuleSet::paper().recommendations(&RuleCtx {
+            metrics: &metrics,
+            thresholds,
+            type_hist: &activity_type_histogram(log),
+            log: Some(log),
+        })
     }
 
     fn lenient() -> Thresholds {

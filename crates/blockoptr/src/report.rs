@@ -270,17 +270,18 @@ pub fn render_outcome(outcome: &PlanOutcome) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::run_and_analyze;
-    use workload::spec::ControlVariables;
+    use crate::session::Analyzer;
+    use workload::ScenarioSpec;
 
     #[test]
     fn report_renders_all_sections() {
-        let cv = ControlVariables {
-            transactions: 2_000,
-            ..Default::default()
-        };
-        let bundle = workload::synthetic::generate(&cv);
-        let (_, analysis) = run_and_analyze(&bundle, cv.network_config());
+        let spec = ScenarioSpec::builtin("synthetic")
+            .unwrap()
+            .with_transactions(2_000);
+        let (bundle, config) = spec.build().unwrap();
+        let analysis = Analyzer::new()
+            .analyze_ledger(&bundle.run(config).ledger)
+            .unwrap();
         let text = render(&analysis);
         assert!(text.contains("BlockOptR analysis"));
         assert!(text.contains("rates: Tr"));
@@ -290,15 +291,13 @@ mod tests {
 
     #[test]
     fn plan_and_outcome_render_all_sections() {
-        use crate::plan::OptimizationPlan;
+        use crate::plan::{OptimizationPlan, PlanConfig};
         use crate::recommend::Recommendation;
 
-        let spec = workload::scm::ScmSpec {
-            transactions: 2_000,
-            ..Default::default()
-        };
-        let bundle = workload::scm::generate(&spec);
-        let config = fabric_sim::config::NetworkConfig::default();
+        let spec = ScenarioSpec::builtin("scm")
+            .unwrap()
+            .with_transactions(2_000);
+        let (bundle, _) = spec.build().unwrap();
         let plan = OptimizationPlan::from_recommendations(&[
             Recommendation::TransactionRateControl {
                 intervals: vec![0],
@@ -318,7 +317,9 @@ mod tests {
             "{dry}"
         );
 
-        let outcome = plan.execute(&bundle, &config);
+        let outcome = plan
+            .execute_spec_with(&spec, &PlanConfig::default())
+            .unwrap();
         let text = render_outcome(&outcome);
         assert!(text.contains("baseline"), "{text}");
         assert!(
@@ -336,8 +337,7 @@ mod tests {
 
     #[test]
     fn empty_analysis_renders_healthy() {
-        let analysis =
-            crate::pipeline::BlockOptR::new().analyze_log(crate::log::BlockchainLog::default());
+        let analysis = Analyzer::new().session().unwrap().snapshot_or_empty();
         let text = render(&analysis);
         assert!(text.contains("none — the system looks healthy"));
     }

@@ -260,8 +260,8 @@ impl fmt::Display for WindowPolicy {
 /// The configured analyzer: cheap to build, cheap to clone, and the only
 /// way to open a [`Session`].
 ///
-/// Replaces the paper-era `BlockOptR` struct as the primary entry point;
-/// `BlockOptR` survives as a thin wrapper over a one-shot session.
+/// The single analysis entry point: batch calls such as
+/// [`analyze_ledger`](Self::analyze_ledger) are one-shot sessions.
 #[derive(Debug, Clone)]
 pub struct Analyzer {
     metric_config: MetricConfig,
@@ -1320,8 +1320,7 @@ impl Session {
     }
 
     /// Like [`snapshot`](Self::snapshot) but tolerates an empty session,
-    /// producing an analysis with empty metrics (the paper-era batch API's
-    /// behaviour, which the `BlockOptR` wrappers preserve).
+    /// producing an analysis with empty metrics and no recommendations.
     pub fn snapshot_or_empty(&self) -> Analysis {
         let rates = self.rates.snapshot();
         let mut keys = self.keys.clone();
@@ -1571,7 +1570,6 @@ impl Snapshot {
 mod tests {
     use super::*;
     use crate::log::test_support::{log_of, Rec};
-    use crate::pipeline::BlockOptR;
     use fabric_sim::ledger::TxStatus;
     use workload::spec::ControlVariables;
 
@@ -1588,7 +1586,7 @@ mod tests {
     #[test]
     fn incremental_snapshot_matches_batch_analysis() {
         let output = small_output();
-        let batch = BlockOptR::new().analyze_ledger(&output.ledger);
+        let batch = Analyzer::new().analyze_ledger(&output.ledger).unwrap();
 
         let mut session = Analyzer::new().session().unwrap();
         for block in output.ledger.blocks() {
@@ -1676,7 +1674,7 @@ mod tests {
             prefix.append(block.clone());
             if i % 7 == 0 {
                 let streamed = session.snapshot().unwrap();
-                let batch = BlockOptR::new().analyze_ledger(&prefix);
+                let batch = Analyzer::new().analyze_ledger(&prefix).unwrap();
                 assert_eq!(streamed.metrics.rates.total, batch.metrics.rates.total);
                 assert_eq!(
                     streamed.metrics.correlation.identified,
@@ -1877,7 +1875,7 @@ mod tests {
     fn ingest_log_windows_match_whole_log() {
         let output = small_output();
         let log = BlockchainLog::from_ledger(&output.ledger);
-        let batch = BlockOptR::new().analyze_log(log.clone());
+        let batch = Analyzer::new().analyze_log(log.clone()).unwrap();
 
         // Split the records into three arbitrary windows.
         let records = log.records();
@@ -1986,7 +1984,7 @@ mod tests {
                 .status(TxStatus::MvccReadConflict)
                 .build(),
         ]);
-        let analysis = BlockOptR::new().analyze_log(log);
+        let analysis = Analyzer::new().analyze_log(log).unwrap();
         assert_eq!(analysis.log.records()[0].commit_index, 5);
         assert_eq!(analysis.log.records()[1].commit_index, 17);
         let conflict = &analysis.metrics.correlation.conflicts[0];

@@ -249,6 +249,55 @@ fn optimize_spec_flag_validation() {
     );
 }
 
+/// JSON nested past the parser's 128-level limit is a typed error (exit 1),
+/// not a stack overflow — for logs and for specs alike.
+#[test]
+fn deeply_nested_json_is_rejected_with_a_typed_error() {
+    let dir = std::env::temp_dir().join("blockoptr_cli_deep");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("deep.json");
+    std::fs::write(&path, "[".repeat(200_000)).unwrap();
+    let out = blockoptr(&["analyze", path.to_str().unwrap()]);
+    assert_eq!(out.status.code(), Some(1), "{}", stderr(&out));
+    assert!(
+        stderr(&out).contains("malformed log JSON: recursion limit exceeded"),
+        "{}",
+        stderr(&out)
+    );
+
+    // A spec whose `name` field holds a 100 000-deep array.
+    let spec = workload::ScenarioSpec::builtin("scm").unwrap().to_json();
+    let deep = format!("[{}", "[".repeat(100_000));
+    let spec = spec.replacen("\"scm\"", &deep, 1);
+    std::fs::write(&path, spec).unwrap();
+    let out = blockoptr(&["optimize", "--spec", path.to_str().unwrap()]);
+    assert_eq!(out.status.code(), Some(1), "{}", stderr(&out));
+    assert!(
+        stderr(&out).contains("malformed scenario JSON: recursion limit exceeded"),
+        "{}",
+        stderr(&out)
+    );
+}
+
+/// Network sizes beyond the `u16` id space fail spec validation with the
+/// dotted field path (exit 1) instead of aborting on allocation.
+#[test]
+fn optimize_rejects_oversized_networks() {
+    let dir = std::env::temp_dir().join("blockoptr_cli_bignet");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("big.json");
+    let mut spec = workload::ScenarioSpec::builtin("scm").unwrap();
+    spec.network.total_endorser_peers = 4_000_000_000;
+    std::fs::write(&path, spec.to_json()).unwrap();
+    let out = blockoptr(&["optimize", "--spec", path.to_str().unwrap()]);
+    assert_eq!(out.status.code(), Some(1), "{}", stderr(&out));
+    assert!(
+        stderr(&out).contains("bad spec parameter network.total_endorser_peers"),
+        "{}",
+        stderr(&out)
+    );
+}
+
 /// Malformed fault windows fail spec validation with the dotted field path
 /// (exit 1), before any simulation runs.
 #[test]

@@ -431,6 +431,19 @@ fn check_min(field: &str, value: usize, min: usize) -> Result<(), SpecError> {
     }
 }
 
+/// The most orgs, endorser peers, or clients a spec may name: their ids
+/// (`OrgId`, `PeerId.index`, `ClientId.index`) are `u16`.
+const MAX_IDS: usize = 1 << 16;
+
+/// A count must be at most `max`.
+fn check_max(field: &str, value: usize, max: usize) -> Result<(), SpecError> {
+    if value <= max {
+        Ok(())
+    } else {
+        Err(bad(field, format!("must be at most {max}, got {value}")))
+    }
+}
+
 impl ScenarioSpec {
     /// The spec of a built-in scenario under its default parameters and
     /// the default network configuration — what `blockoptr spec <name>`
@@ -523,6 +536,7 @@ impl ScenarioSpec {
                 check_rate("synthetic.send_rate", cv.send_rate)?;
                 check_min("synthetic.transactions", cv.transactions, 1)?;
                 check_min("synthetic.orgs", cv.orgs, 1)?;
+                check_max("synthetic.orgs", cv.orgs, MAX_IDS)?;
                 check_min("synthetic.block_count", cv.block_count, 1)?;
                 check_share("synthetic.tx_dist_skew", cv.tx_dist_skew)?;
                 if !cv.key_skew.is_finite() || cv.key_skew < 0.0 {
@@ -539,6 +553,7 @@ impl ScenarioSpec {
                 check_min("scm.audits", s.audits, 1)?;
                 check_min("scm.batch", s.batch, 1)?;
                 check_min("scm.orgs", s.orgs, 1)?;
+                check_max("scm.orgs", s.orgs, MAX_IDS)?;
                 check_share("scm.query_share", s.query_share)?;
                 check_share("scm.audit_share", s.audit_share)?;
                 check_share("scm.anomaly_rate", s.anomaly_rate)?;
@@ -554,6 +569,7 @@ impl ScenarioSpec {
                 check_min("drm.transactions", s.transactions, 1)?;
                 check_min("drm.catalogue", s.catalogue, 1)?;
                 check_min("drm.orgs", s.orgs, 1)?;
+                check_max("drm.orgs", s.orgs, MAX_IDS)?;
                 check_share("drm.play_share", s.play_share)?;
                 if !s.popularity_skew.is_finite() || s.popularity_skew < 0.0 {
                     return Err(bad("drm.popularity_skew", "must be nonnegative"));
@@ -565,6 +581,7 @@ impl ScenarioSpec {
                 check_min("ehr.patients", s.patients, 1)?;
                 check_min("ehr.institutes", s.institutes, 1)?;
                 check_min("ehr.orgs", s.orgs, 1)?;
+                check_max("ehr.orgs", s.orgs, MAX_IDS)?;
                 check_share("ehr.update_share", s.update_share)?;
                 check_share("ehr.anomalous_revoke_rate", s.anomalous_revoke_rate)?;
             }
@@ -575,12 +592,14 @@ impl ScenarioSpec {
                 check_min("dv.queries", s.queries, 1)?;
                 check_min("dv.votes", s.votes, 1)?;
                 check_min("dv.orgs", s.orgs, 1)?;
+                check_max("dv.orgs", s.orgs, MAX_IDS)?;
             }
             WorkloadSpec::Lap(s) => {
                 check_rate("lap.send_rate", s.send_rate)?;
                 check_min("lap.applications", s.applications, 1)?;
                 check_min("lap.employees", s.employees, 2)?;
                 check_min("lap.orgs", s.orgs, 1)?;
+                check_max("lap.orgs", s.orgs, MAX_IDS)?;
                 check_share("lap.hot_employee_share", s.hot_employee_share)?;
                 check_share("lap.rework_rate", s.rework_rate)?;
                 check_share("lap.burst_rate", s.burst_rate)?;
@@ -681,6 +700,25 @@ impl ScenarioSpec {
             1,
         )?;
         check_min("network.clients_per_org", self.network.clients_per_org, 1)?;
+        check_max("network.orgs", self.network.orgs, MAX_IDS)?;
+        check_max(
+            "network.total_endorser_peers",
+            self.network.total_endorser_peers,
+            MAX_IDS,
+        )?;
+        let clients = self
+            .network
+            .orgs
+            .saturating_mul(self.network.clients_per_org);
+        if clients > MAX_IDS {
+            return Err(bad(
+                "network.clients_per_org",
+                format!(
+                    "orgs × clients_per_org must be at most {MAX_IDS}, got {} × {}",
+                    self.network.orgs, self.network.clients_per_org
+                ),
+            ));
+        }
         self.validate_fault()?;
         self.validate_retry()?;
         Ok(())
@@ -1135,6 +1173,38 @@ mod tests {
             }
             other => panic!("{other:?}"),
         }
+    }
+
+    #[test]
+    fn network_sizes_are_bounded_by_the_id_space() {
+        let spec = ScenarioSpec::builtin("scm").unwrap();
+        let mut at_limit = spec.clone();
+        at_limit.network.total_endorser_peers = MAX_IDS;
+        at_limit
+            .validate()
+            .expect("65 536 peers fit the u16 id space");
+        let field_of = |spec: &ScenarioSpec| match spec.validate().unwrap_err() {
+            SpecError::BadParameter { field, .. } => field,
+            other => panic!("{other:?}"),
+        };
+        let mut orgs = spec.clone();
+        orgs.network.orgs = MAX_IDS + 1;
+        assert_eq!(field_of(&orgs), "network.orgs");
+        let mut peers = spec.clone();
+        peers.network.total_endorser_peers = 4_000_000_000;
+        assert_eq!(field_of(&peers), "network.total_endorser_peers");
+        let mut clients = spec;
+        clients.network.orgs = 256;
+        clients.network.clients_per_org = 257;
+        assert_eq!(field_of(&clients), "network.clients_per_org");
+        clients.network.clients_per_org = usize::MAX;
+        assert_eq!(field_of(&clients), "network.clients_per_org");
+        // The generators name invoking orgs with the same u16 ids.
+        let mut invokers = ScenarioSpec::builtin("scm").unwrap();
+        if let WorkloadSpec::Scm(s) = &mut invokers.workload {
+            s.orgs = 4_000_000_000;
+        }
+        assert_eq!(field_of(&invokers), "scm.orgs");
     }
 
     #[test]

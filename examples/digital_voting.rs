@@ -18,7 +18,9 @@ fn main() {
     let cfg = NetworkConfig::default;
 
     let output = bundle.run(cfg());
-    let analysis = BlockOptR::new().analyze_ledger(&output.ledger);
+    let analysis = Analyzer::new()
+        .analyze_ledger(&output.ledger)
+        .expect("the run committed transactions");
     println!(
         "── DV baseline (party-keyed): {}",
         output.report.figure_row()
@@ -56,7 +58,9 @@ fn main() {
     );
 
     // Verify with a fresh analysis that the recommendation disappears.
-    let re_analysis = BlockOptR::new().analyze_ledger(&after.ledger);
+    let re_analysis = Analyzer::new()
+        .analyze_ledger(&after.ledger)
+        .expect("the run committed transactions");
     println!(
         "recommendations after the redesign: {:?}",
         re_analysis.recommendation_names()

@@ -15,7 +15,9 @@ fn main() {
     let cfg = NetworkConfig::default;
 
     let output = bundle.run(cfg());
-    let analysis = BlockOptR::new().analyze_ledger(&output.ledger);
+    let analysis = Analyzer::new()
+        .analyze_ledger(&output.ledger)
+        .expect("the run committed transactions");
     println!("── DRM baseline: {}", output.report.figure_row());
     for rec in &analysis.recommendations {
         println!("  [{}] {}: {}", rec.level(), rec.name(), rec.rationale());
@@ -35,8 +37,10 @@ fn main() {
 
     // Everything combined (partitioned chaincodes + delta plays +
     // reordering of the reporting reads).
-    let (requests, _) = apply_user_level(&bundle.requests, &analysis.recommendations);
-    let all = drm::partitioned_delta(bundle.clone().with_requests(requests), &spec);
+    let (reordered, _, _) = OptimizationPlan::from_analysis(&analysis)
+        .select(&["Activity reordering", "Transaction rate control"])
+        .transform(&bundle, &cfg());
+    let all = drm::partitioned_delta(reordered, &spec);
     let after_all = all.run(cfg());
     println!("── all combined:    {}", after_all.report.figure_row());
 

@@ -20,7 +20,9 @@ fn main() {
         let cfg = NetworkConfig::default;
 
         let output = bundle.run(cfg());
-        let analysis = BlockOptR::new().analyze_ledger(&output.ledger);
+        let analysis = Analyzer::new()
+            .analyze_ledger(&output.ledger)
+            .expect("the run committed transactions");
         println!(
             "── LAP @ {rate:.0} tps, employee-keyed: {}",
             output.report.figure_row()

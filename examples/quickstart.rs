@@ -21,17 +21,17 @@ fn main() {
 
     // 3. BlockOptR: preprocess the chain, derive metrics, mine the process
     //    model, and evaluate the nine recommendation rules.
-    let analysis = BlockOptR::new().analyze_ledger(&output.ledger);
+    let analysis = Analyzer::new()
+        .analyze_ledger(&output.ledger)
+        .expect("the run committed transactions");
     println!("{}", blockoptr::report::render(&analysis));
 
-    // 4. Apply the automatic recommendations (workload + configuration) and
-    //    re-run.
-    let (requests, user_changes) = apply_user_level(&bundle.requests, &analysis.recommendations);
-    let (config, system_changes) =
-        apply_system_level(&cv.network_config(), &analysis.recommendations);
-    println!("applying: {:?} {:?}", user_changes, system_changes);
-
-    let optimized = bundle.clone().with_requests(requests);
+    // 4. Lower the recommendations to typed actions, apply them (workload
+    //    + configuration; the synthetic contract ships no prepared
+    //    variants, so contract-level actions stay manual), and re-run.
+    let plan = OptimizationPlan::from_analysis(&analysis);
+    print!("{}", blockoptr::report::render_plan(&plan, Some(&bundle)));
+    let (optimized, config, _manual) = plan.transform(&bundle, &cv.network_config());
     let after = optimized.run(config);
     println!("── optimized run ──");
     println!("{}", after.report);

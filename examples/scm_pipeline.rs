@@ -19,7 +19,9 @@ fn main() {
 
     // Baseline.
     let output = bundle.run(cfg());
-    let analysis = BlockOptR::new().analyze_ledger(&output.ledger);
+    let analysis = Analyzer::new()
+        .analyze_ledger(&output.ledger)
+        .expect("the run committed transactions");
     println!("── SCM baseline: {}", output.report.figure_row());
     println!(
         "recommended: {}",
@@ -43,11 +45,14 @@ fn main() {
         after_prune.report.early_aborted
     );
 
-    // Activity reordering: defer the reporting activities.
-    let (requests, applied) = apply_user_level(&bundle.requests, &analysis.recommendations);
+    // The schedule rewrites: defer the reporting activities (activity
+    // reordering) and throttle the send rate (rate control).
+    let plan = OptimizationPlan::from_analysis(&analysis)
+        .select(&["Activity reordering", "Transaction rate control"]);
+    let applied: Vec<String> = plan.actions.iter().map(|a| a.action.describe()).collect();
     println!("applied: {}", applied.join("; "));
-    let reordered = bundle.clone().with_requests(requests);
-    let after_reorder = reordered.run(cfg());
+    let (reordered, config, _) = plan.transform(&bundle, &cfg());
+    let after_reorder = reordered.run(config);
     println!(
         "── reordered schedule: {}",
         after_reorder.report.figure_row()
@@ -55,7 +60,9 @@ fn main() {
 
     // Compliance check (Figure 4): the redesigned behaviour against the
     // intended flow.
-    let re_analysis = BlockOptR::new().analyze_ledger(&after_reorder.ledger);
+    let re_analysis = Analyzer::new()
+        .analyze_ledger(&after_reorder.ledger)
+        .expect("the run committed transactions");
     let designed = log_from(&[
         &["pushASN", "ship", "queryASN", "unload"],
         &["pushASN", "ship", "queryASN", "unload", "queryProducts"],

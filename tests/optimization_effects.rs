@@ -125,18 +125,12 @@ fn scm_reordering_improves_both_metrics() {
         };
         let bundle = scm::generate(&spec);
         let output = bundle.run(NetworkConfig::default());
-        let analysis = BlockOptR::new().analyze_ledger(&output.ledger);
+        let analysis = Analyzer::new().analyze_ledger(&output.ledger).unwrap();
         let before = output.report;
-        let (requests, applied) = apply_user_level(
-            &bundle.requests,
-            &blockoptr_suite::blockoptr::recommend::Recommendation::filter_by_name(
-                &analysis.recommendations,
-                "Activity reordering",
-            ),
-        );
-        assert!(!applied.is_empty(), "reordering applied for seed {seed}");
-        let reordered = bundle.clone().with_requests(requests);
-        let after = run(&reordered, NetworkConfig::default());
+        let plan = OptimizationPlan::from_analysis(&analysis).select(&["Activity reordering"]);
+        assert!(!plan.is_empty(), "reordering applied for seed {seed}");
+        let (reordered, config, _) = plan.transform(&bundle, &NetworkConfig::default());
+        let after = run(&reordered, config);
         assert!(
             after.success_rate_pct > before.success_rate_pct,
             "seed {seed}: {} → {}",

@@ -283,7 +283,9 @@ fn plan_execution_maps_spec_errors() {
     if let WorkloadSpec::Drm(s) = &mut spec.workload {
         s.send_rate = f64::NAN;
     }
-    let err = OptimizationPlan::default().execute_spec(&spec).unwrap_err();
+    let err = OptimizationPlan::default()
+        .execute_spec_with(&spec, &PlanConfig::default())
+        .unwrap_err();
     match err {
         AnalyzeError::Spec(SpecError::BadParameter { field, .. }) => {
             assert_eq!(field, "drm.send_rate")
