@@ -1,68 +1,19 @@
-//! Paper-era application helpers (§4.5, Table 4) — thin wrappers over the
-//! typed [`Action`] layer.
-//!
-//! Soft-deprecated: new code should lower recommendations with
-//! [`Recommendation::actions`](crate::recommend::Recommendation::actions)
-//! and apply them through an
-//! [`OptimizationPlan`](crate::plan::OptimizationPlan), which also closes
-//! the loop (re-run + before/after deltas). These helpers keep the original
-//! free-function signatures for existing call sites: each applies every
-//! action of the matching shape and reports the transformations as strings.
-
-use crate::action::Action;
-use crate::recommend::Recommendation;
-use fabric_sim::config::NetworkConfig;
-use fabric_sim::sim::TxRequest;
-
-/// Rewrite the request schedule according to the user-level
-/// recommendations (every [`Action::RewriteSchedule`] they lower to).
-/// Returns the new schedule and a description of the transformations
-/// applied.
-pub fn apply_user_level(
-    requests: &[TxRequest],
-    recommendations: &[Recommendation],
-) -> (Vec<TxRequest>, Vec<String>) {
-    let mut out = requests.to_vec();
-    let mut applied = Vec::new();
-    for action in recommendations.iter().flat_map(Recommendation::actions) {
-        if let Some(rewritten) = action.apply_to_schedule(&out) {
-            out = rewritten;
-            applied.push(action.describe());
-        }
-    }
-    (out, applied)
-}
-
-/// Rewrite the network configuration according to the system-level
-/// recommendations (every [`Action::ReconfigureNetwork`] they lower to).
-/// Returns the new configuration and the changes applied.
-pub fn apply_system_level(
-    config: &NetworkConfig,
-    recommendations: &[Recommendation],
-) -> (NetworkConfig, Vec<String>) {
-    let mut out = config.clone();
-    let mut applied = Vec::new();
-    for action in recommendations.iter().flat_map(Recommendation::actions) {
-        if let Some(reconfigured) = action.apply_to_config(&out) {
-            applied.push(match &action {
-                // Keep the legacy report shape: name the resulting policy.
-                Action::ReconfigureNetwork(
-                    crate::action::NetworkChange::GeneralizeEndorsementPolicy,
-                ) => format!("endorsement policy → {}", reconfigured.endorsement_policy),
-                _ => action.describe(),
-            });
-            out = reconfigured;
-        }
-    }
-    (out, applied)
-}
+//! Tests of the apply step of the optimize loop: recommendations lowered
+//! with [`OptimizationPlan::from_recommendations`] and applied to a request
+//! schedule and a network configuration with
+//! [`OptimizationPlan::transform`], as the loop applies them before
+//! re-measuring. The per-action lowering is tested in [`crate::action`].
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::plan::OptimizationPlan;
+    use crate::recommend::Recommendation;
+    use fabric_sim::config::NetworkConfig;
     use fabric_sim::policy::EndorsementPolicy;
+    use fabric_sim::sim::TxRequest;
     use fabric_sim::types::OrgId;
     use sim_core::time::SimTime;
+    use workload::{VariantKind, WorkloadBundle};
 
     fn req(i: u64, activity: &str) -> TxRequest {
         TxRequest {
@@ -74,6 +25,21 @@ mod tests {
         }
     }
 
+    /// Apply `recs` to a bundle holding `reqs` and to `cfg`; returns the
+    /// rewritten schedule, the rewritten configuration, the descriptions of
+    /// the planned actions and the variant kinds left manual.
+    fn apply(
+        reqs: Vec<TxRequest>,
+        cfg: &NetworkConfig,
+        recs: &[Recommendation],
+    ) -> (Vec<TxRequest>, NetworkConfig, Vec<String>, Vec<VariantKind>) {
+        let plan = OptimizationPlan::from_recommendations(recs);
+        let bundle = WorkloadBundle::new(Vec::new(), Vec::new(), reqs);
+        let (out_bundle, out_cfg, manual) = plan.transform(&bundle, cfg);
+        let applied = plan.actions.iter().map(|a| a.action.describe()).collect();
+        (out_bundle.requests, out_cfg, applied, manual)
+    }
+
     #[test]
     fn reordering_defers_failed_readers() {
         let reqs = vec![req(0, "query"), req(1, "write"), req(2, "query")];
@@ -81,9 +47,10 @@ mod tests {
             pairs: vec![(("query".into(), "write".into()), 10)],
             share: 0.8,
         }];
-        let (out, applied) = apply_user_level(&reqs, &recs);
+        let (out, cfg, applied, _) = apply(reqs, &NetworkConfig::default(), &recs);
         let acts: Vec<&str> = out.iter().map(|r| r.activity.as_ref()).collect();
         assert_eq!(acts, vec!["write", "query", "query"]);
+        assert_eq!(cfg, NetworkConfig::default());
         assert_eq!(applied.len(), 1);
         assert!(applied[0].contains("query"));
     }
@@ -96,7 +63,7 @@ mod tests {
             peak_rate: 300.0,
             suggested_rate: 10.0,
         }];
-        let (out, applied) = apply_user_level(&reqs, &recs);
+        let (out, _, applied, _) = apply(reqs, &NetworkConfig::default(), &recs);
         assert_eq!(
             out[2].send_time.as_micros() - out[0].send_time.as_micros(),
             200_000,
@@ -113,7 +80,7 @@ mod tests {
             tr: 300.0,
             suggested_count: 300,
         }];
-        let (out, applied) = apply_system_level(&cfg, &recs);
+        let (_, out, applied, _) = apply(Vec::new(), &cfg, &recs);
         assert_eq!(out.block_count, 300);
         assert_eq!(applied, vec!["block count → 300"]);
     }
@@ -130,7 +97,7 @@ mod tests {
             shares: vec![("Org1".into(), 0.5)],
             overloaded: vec!["Org1".into()],
         }];
-        let (out, applied) = apply_system_level(&cfg, &recs);
+        let (_, out, applied, _) = apply(Vec::new(), &cfg, &recs);
         assert_eq!(
             out.endorsement_policy.to_string(),
             "OutOf(2,Org1,Org2,Org3,Org4)",
@@ -140,7 +107,7 @@ mod tests {
         assert!(out.endorsement_policy.mandatory_orgs().is_empty());
         assert_eq!(
             applied,
-            vec!["endorsement policy → OutOf(2,Org1,Org2,Org3,Org4)".to_string()]
+            vec!["endorsement policy → OutOf(k, all orgs)".to_string()]
         );
     }
 
@@ -151,7 +118,7 @@ mod tests {
             org: "Org2".into(),
             share: 0.7,
         }];
-        let (out, applied) = apply_system_level(&cfg, &recs);
+        let (_, out, applied, _) = apply(Vec::new(), &cfg, &recs);
         assert_eq!(out.client_boost, Some((1, 2)));
         assert!(applied[0].contains("Org2"));
     }
@@ -162,12 +129,11 @@ mod tests {
         let recs = vec![Recommendation::DeltaWrites {
             activities: vec![("play".into(), 9)],
         }];
-        let (out, applied) = apply_system_level(&cfg, &recs);
-        assert_eq!(out, cfg);
-        assert!(applied.is_empty());
         let reqs = vec![req(0, "play")];
-        let (out_reqs, applied_u) = apply_user_level(&reqs, &recs);
-        assert_eq!(out_reqs.len(), 1);
-        assert!(applied_u.is_empty());
+        let (out_reqs, out, _, manual) = apply(reqs.clone(), &cfg, &recs);
+        assert_eq!(out, cfg);
+        assert_eq!(out_reqs, reqs);
+        // The bundle ships no delta-write rewrite: the change is manual.
+        assert_eq!(manual, vec![VariantKind::DeltaWrites]);
     }
 }

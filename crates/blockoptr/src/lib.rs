@@ -61,6 +61,7 @@
 //! return [`AnalyzeError`] instead of panicking.
 
 pub mod action;
+mod apply;
 pub mod autotune;
 pub mod caseid;
 pub mod compliance;
