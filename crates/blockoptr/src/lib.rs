@@ -90,7 +90,7 @@ pub use plan::{
 pub use recommend::rules::{Finding, Rule, RuleCtx, RuleSet};
 pub use recommend::{Level, Recommendation, Thresholds};
 pub use resilience::{ResilienceCtx, ResilienceRule, ResilienceRuleSet};
-pub use session::{AnalyzeError, Analyzer, Session, SessionFootprint, Snapshot, WindowPolicy};
+pub use session::{AnalyzeError, Analyzer, Session, SessionFootprint, WindowPolicy};
 
 /// One-stop imports for the common pipeline.
 pub mod prelude {

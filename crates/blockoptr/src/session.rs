@@ -53,7 +53,6 @@ use fabric_sim::ledger::{Block, Ledger};
 use process_mining::dfg::DirectlyFollowsGraph;
 use process_mining::eventlog::{EventLog, Trace};
 use process_mining::heuristics::{mine_from_dfg, HeuristicsConfig};
-use sim_core::pool;
 use sim_core::time::SimTime;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -269,7 +268,6 @@ pub struct Analyzer {
     mining: HeuristicsConfig,
     rules: RuleSet,
     auto_tune: bool,
-    threads: usize,
     window: WindowPolicy,
 }
 
@@ -286,7 +284,6 @@ impl Default for Analyzer {
             mining: HeuristicsConfig::default(),
             rules: RuleSet::default(),
             auto_tune: false,
-            threads: pool::default_threads(),
             window: WindowPolicy::from_env(),
         }
     }
@@ -370,14 +367,11 @@ impl Analyzer {
         }
     }
 
-    /// Worker threads sessions opened from this analyzer may use for
-    /// ingestion (default: [`pool::default_threads`], which honours
-    /// `BLOCKOPTR_THREADS`). With more than one thread, large ingest
-    /// batches shard the per-metric trackers across scoped threads — each
-    /// tracker still folds the records in commit order, so snapshots are
-    /// identical to single-threaded ingestion.
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
+    /// No effect: a session folds every batch on the calling thread. To
+    /// ingest in parallel, split the stream across sessions and fold them
+    /// with [`Session::merge`].
+    #[deprecated(note = "ingest is serial; shard across sessions and fold with Session::merge")]
+    pub fn threads(self, _: usize) -> Self {
         self
     }
 
@@ -942,9 +936,8 @@ impl Session {
     /// are skipped). Returns the number of records added.
     ///
     /// All new blocks are appended first and folded as **one** batch, so a
-    /// large catch-up (or a one-shot [`Analyzer::analyze_ledger`]) crosses
-    /// the parallel-ingest threshold and shards the per-metric trackers
-    /// across the analyzer's worker threads.
+    /// large catch-up (or a one-shot [`Analyzer::analyze_ledger`]) evicts
+    /// and re-checks the identifier family once, not once per block.
     pub fn ingest_ledger(&mut self, ledger: &Ledger) -> usize {
         let first_new = self.log.len();
         let mut added = 0;
@@ -1033,28 +1026,31 @@ impl Session {
         Ok(added)
     }
 
-    /// Batches below this size ingest serially even on a multi-threaded
-    /// session: spawning scoped threads costs more than folding a handful
-    /// of records.
-    const PARALLEL_INGEST_MIN: usize = 256;
-
-    /// Fold every record at position `first_new..` into the running state.
-    ///
-    /// The per-metric trackers are mutually independent — each reads the
-    /// shared record slice and writes only its own state — so a large
-    /// batch on a multi-threaded session ([`Analyzer::threads`]) shards
-    /// them across scoped threads (one tracker per shard, ROADMAP PR-1
-    /// follow-up). Every tracker still consumes the records in commit
-    /// order, so the merged state — and therefore every
-    /// [`snapshot`](Session::snapshot) — is identical to single-threaded
-    /// ingestion.
+    /// Fold every record at position `first_new..` into the running state,
+    /// in commit order.
     fn observe_from(&mut self, first_new: usize) {
-        let log = Arc::clone(&self.log);
-        let records = log.records();
-        if self.config.threads > 1 && records.len() - first_new >= Self::PARALLEL_INGEST_MIN {
-            self.observe_from_sharded(records, first_new);
-        } else {
-            self.observe_from_serial(records, first_new);
+        let records = self.log.records();
+        for (pos, record) in records.iter().enumerate().skip(first_new) {
+            self.last_block = self.last_block.max(record.block);
+            self.first_send = Some(
+                self.first_send
+                    .map_or(record.client_ts, |t| t.min(record.client_ts)),
+            );
+            self.last_commit = Some(
+                self.last_commit
+                    .map_or(record.commit_ts, |t| t.max(record.commit_ts)),
+            );
+            self.rates.observe(record);
+            *self.block_sizes.entry(record.block).or_insert(0) += 1;
+            self.endorsers.observe(record);
+            self.invokers.observe(record);
+            if record.failed() {
+                self.keys
+                    .observe_failure_indexed(record, &mut self.hotkey_index);
+            }
+            self.correlation.observe(records, self.evicted + pos);
+            observe_activity_type(&mut self.type_hist, &record.activity, record.tx_type);
+            self.cases.observe(record, self.evicted + pos);
         }
         // With a bounded window, retract everything that aged out of it —
         // after the fold so the batch itself decides what is oldest.
@@ -1066,7 +1062,7 @@ impl Session {
         // Re-check the winning identifier family once per batch, so the
         // event-log/DFG cache is (re)built here — amortized over ingestion —
         // and snapshots stay O(state).
-        self.cases.refresh(records, self.evicted);
+        self.cases.refresh(self.log.records(), self.evicted);
     }
 
     /// Evict every record the window policy no longer covers, retracting
@@ -1152,117 +1148,6 @@ impl Session {
         let log = Arc::clone(&self.log);
         self.cases.evict(&evicted, log.records(), self.evicted);
         true
-    }
-
-    /// The single-threaded fold (also the reference semantics the sharded
-    /// path must reproduce exactly).
-    fn observe_from_serial(&mut self, records: &[TxRecord], first_new: usize) {
-        for (pos, record) in records.iter().enumerate().skip(first_new) {
-            self.last_block = self.last_block.max(record.block);
-            self.first_send = Some(
-                self.first_send
-                    .map_or(record.client_ts, |t| t.min(record.client_ts)),
-            );
-            self.last_commit = Some(
-                self.last_commit
-                    .map_or(record.commit_ts, |t| t.max(record.commit_ts)),
-            );
-            self.rates.observe(record);
-            *self.block_sizes.entry(record.block).or_insert(0) += 1;
-            self.endorsers.observe(record);
-            self.invokers.observe(record);
-            if record.failed() {
-                self.keys
-                    .observe_failure_indexed(record, &mut self.hotkey_index);
-            }
-            self.correlation.observe(records, self.evicted + pos);
-            observe_activity_type(&mut self.type_hist, &record.activity, record.tx_type);
-            self.cases.observe(record, self.evicted + pos);
-        }
-    }
-
-    /// The tracker families shard across at most [`Analyzer::threads`]
-    /// scoped workers (round-robin, so a given thread budget always runs
-    /// the same families together); the window bounds and block sizes fold
-    /// on the calling thread. Disjoint `&mut` borrows of the session's
-    /// fields make this safe without any locking, and each tracker still
-    /// consumes the records in commit order on exactly one thread.
-    fn observe_from_sharded(&mut self, records: &[TxRecord], first_new: usize) {
-        let new = &records[first_new..];
-        for record in new {
-            self.last_block = self.last_block.max(record.block);
-            self.first_send = Some(
-                self.first_send
-                    .map_or(record.client_ts, |t| t.min(record.client_ts)),
-            );
-            self.last_commit = Some(
-                self.last_commit
-                    .map_or(record.commit_ts, |t| t.max(record.commit_ts)),
-            );
-            *self.block_sizes.entry(record.block).or_insert(0) += 1;
-        }
-
-        let base = self.evicted;
-        let rates = &mut self.rates;
-        let endorsers = &mut self.endorsers;
-        let invokers = &mut self.invokers;
-        let keys = &mut self.keys;
-        let hotkey_index = &mut self.hotkey_index;
-        let correlation = &mut self.correlation;
-        let type_hist = &mut self.type_hist;
-        let cases = &mut self.cases;
-        let shards: Vec<Box<dyn FnOnce() + Send + '_>> = vec![
-            Box::new(move || {
-                for record in new {
-                    rates.observe(record);
-                }
-            }),
-            Box::new(move || {
-                for record in new {
-                    endorsers.observe(record);
-                }
-            }),
-            Box::new(move || {
-                for record in new {
-                    invokers.observe(record);
-                }
-            }),
-            Box::new(move || {
-                for record in new {
-                    if record.failed() {
-                        keys.observe_failure_indexed(record, hotkey_index);
-                    }
-                }
-            }),
-            Box::new(move || {
-                for pos in first_new..records.len() {
-                    correlation.observe(records, base + pos);
-                }
-            }),
-            Box::new(move || {
-                for (i, record) in new.iter().enumerate() {
-                    observe_activity_type(type_hist, &record.activity, record.tx_type);
-                    cases.observe(record, base + first_new + i);
-                }
-            }),
-        ];
-
-        let workers = self.config.threads.clamp(1, shards.len());
-        let mut buckets: Vec<Vec<Box<dyn FnOnce() + Send + '_>>> =
-            (0..workers).map(|_| Vec::new()).collect();
-        for (i, shard) in shards.into_iter().enumerate() {
-            buckets[i % workers].push(shard);
-        }
-        std::thread::scope(|scope| {
-            for bucket in buckets {
-                // detlint: allow(thread-spawn, reason = "scoped workers borrow &mut tracker shards; results land in the shards themselves so no collection-order exists, and worker count is the session's own threads knob")
-                scope.spawn(move || {
-                    for shard in bucket {
-                        shard();
-                    }
-                });
-            }
-        });
     }
 
     /// The sizes of every piece of running state — the memory-boundedness
@@ -1369,8 +1254,10 @@ impl Session {
     /// each shard independently, and merge the results in any association
     /// order. The merged state is byte-equal — snapshot, footprint, and
     /// eviction counter — to a single session ingesting the concatenated
-    /// stream in **one batch** (the same reference the sharded
-    /// `observe_from` path reproduces). The empty session is the identity.
+    /// stream in **one batch**. The empty session is the identity. A
+    /// [`clone`](Clone::clone) is a cheap point-in-time copy to fold
+    /// (the log, conflict history, and case structures are shared
+    /// copy-on-write).
     ///
     /// `other` must hold the records that *follow* self's stream:
     /// commit indices must continue strictly above self's
@@ -1515,54 +1402,6 @@ impl Session {
         // exactly like the end of an ingest batch.
         self.evict_expired();
         Ok(())
-    }
-
-    /// Detach a mergeable point-in-time copy of the current state (cheap:
-    /// the log, conflict history, and case structures are shared
-    /// copy-on-write). The session keeps ingesting; the [`Snapshot`] can be
-    /// shipped elsewhere and folded with others via [`Snapshot::merge`].
-    pub fn detach(&self) -> Snapshot {
-        Snapshot {
-            session: self.clone(),
-        }
-    }
-}
-
-/// A detached, mergeable copy of a [`Session`]'s accumulated state — the
-/// monoid surface of the analysis pipeline for shard-and-fold ingestion.
-///
-/// Not to be confused with [`Session::snapshot`], which materializes an
-/// [`Analysis`] (the derived metrics); a `Snapshot` carries the raw running
-/// state so it can still be **merged**. Split a stream across sessions,
-/// [`detach`](Session::detach) each, fold them with [`Snapshot::merge`] in
-/// any association order, and the result is byte-equal to one session
-/// ingesting the whole stream in a single batch.
-#[derive(Debug, Clone)]
-pub struct Snapshot {
-    session: Session,
-}
-
-impl Snapshot {
-    /// Fold another snapshot into this one (see [`Session::merge`] for the
-    /// ordering/compatibility contract and the equivalence guarantee).
-    pub fn merge(&mut self, other: Snapshot) -> Result<(), AnalyzeError> {
-        self.session.merge(other.session)
-    }
-
-    /// Materialize the derived [`Analysis`] (errors when empty).
-    pub fn analysis(&self) -> Result<Analysis, AnalyzeError> {
-        self.session.snapshot()
-    }
-
-    /// Per-tracker state sizes (see [`Session::footprint`]).
-    pub fn footprint(&self) -> SessionFootprint {
-        self.session.footprint()
-    }
-
-    /// Turn the snapshot back into a live session (e.g. to keep ingesting
-    /// after a fold).
-    pub fn into_session(self) -> Session {
-        self.session
     }
 }
 
@@ -1712,68 +1551,18 @@ mod tests {
         assert_eq!(analysis.log.len(), 0);
     }
 
-    /// The parallel-ingest equivalence guarantee: sharding the per-metric
-    /// trackers across threads produces a snapshot identical to the
-    /// single-threaded fold over the same ledger.
+    /// A whole-ledger batch must equal the block-by-block streaming fold.
     #[test]
-    fn sharded_ingest_matches_serial_observe() {
+    fn ledger_ingest_matches_blockwise_streaming() {
         let output = small_output();
-        // Serial reference: one thread, whole ledger.
-        let mut serial = Analyzer::new().threads(1).session().unwrap();
-        serial.ingest_ledger(&output.ledger);
-        let a = serial.snapshot().unwrap();
-        // Sharded: four threads, same ledger in one batch (2 000 records,
-        // far above the parallel-ingest threshold).
-        let mut sharded = Analyzer::new().threads(4).session().unwrap();
-        sharded.ingest_ledger(&output.ledger);
-        let b = sharded.snapshot().unwrap();
-
-        assert_eq!(a.log.len(), b.log.len());
-        assert_eq!(
-            a.metrics.rates.tx_per_interval,
-            b.metrics.rates.tx_per_interval
-        );
-        assert_eq!(
-            a.metrics.rates.failures_per_interval,
-            b.metrics.rates.failures_per_interval
-        );
-        assert_eq!(
-            a.metrics.block.avg_block_size,
-            b.metrics.block.avg_block_size
-        );
-        assert_eq!(a.metrics.endorsers.per_org, b.metrics.endorsers.per_org);
-        assert_eq!(a.metrics.invokers.per_org, b.metrics.invokers.per_org);
-        assert_eq!(a.metrics.keys.kfreq, b.metrics.keys.kfreq);
-        assert_eq!(a.metrics.keys.hotkeys, b.metrics.keys.hotkeys);
-        assert_eq!(
-            a.metrics.correlation.read_conflicts,
-            b.metrics.correlation.read_conflicts
-        );
-        assert_eq!(
-            a.metrics.correlation.mean_distance,
-            b.metrics.correlation.mean_distance
-        );
-        assert_eq!(a.case_derivation.family, b.case_derivation.family);
-        assert_eq!(a.case_derivation.case_ids, b.case_derivation.case_ids);
-        assert_eq!(a.event_log.len(), b.event_log.len());
-        assert_eq!(a.model.edges, b.model.edges);
-        assert_eq!(a.recommendation_names(), b.recommendation_names());
-    }
-
-    /// A sharded whole-ledger ingest must also equal the block-by-block
-    /// streaming fold (`observe_from` per block never crosses the
-    /// threshold, so it is always the serial reference).
-    #[test]
-    fn sharded_ledger_ingest_matches_blockwise_streaming() {
-        let output = small_output();
-        let mut blockwise = Analyzer::new().threads(1).session().unwrap();
+        let mut blockwise = Analyzer::new().session().unwrap();
         for block in output.ledger.blocks() {
             blockwise.ingest_block(block);
         }
         let a = blockwise.snapshot().unwrap();
-        let mut sharded = Analyzer::new().threads(4).session().unwrap();
-        sharded.ingest_ledger(&output.ledger);
-        let b = sharded.snapshot().unwrap();
+        let mut batch = Analyzer::new().session().unwrap();
+        batch.ingest_ledger(&output.ledger);
+        let b = batch.snapshot().unwrap();
         assert_eq!(
             a.metrics.rates.tx_per_interval,
             b.metrics.rates.tx_per_interval
@@ -2132,24 +1921,6 @@ mod tests {
         );
     }
 
-    /// Sharded (multi-threaded) ingest under eviction must match the
-    /// serial fold exactly.
-    #[test]
-    fn sharded_windowed_ingest_matches_serial() {
-        let output = small_output();
-        let policy = WindowPolicy::LastBlocks(6);
-        let mut serial = Analyzer::new().threads(1).window(policy).session().unwrap();
-        serial.ingest_ledger(&output.ledger);
-        let mut sharded = Analyzer::new().threads(4).window(policy).session().unwrap();
-        sharded.ingest_ledger(&output.ledger);
-        assert_eq!(serial.evicted(), sharded.evicted());
-        assert_eq!(serial.footprint(), sharded.footprint());
-        assert_eq!(
-            format!("{:?}", serial.snapshot().unwrap()),
-            format!("{:?}", sharded.snapshot().unwrap())
-        );
-    }
-
     /// Duration-based policies evict by commit-timestamp age; the decay
     /// policy is the same mechanism at 10 half-lives.
     #[test]
@@ -2485,33 +2256,34 @@ mod tests {
         assert_eq!(merge_witness(&merged), expected);
     }
 
-    /// Snapshots detach cheaply, merge like sessions, and can resume
-    /// ingesting.
+    /// Point-in-time clones merge like the sessions they copy, leave the
+    /// originals untouched, and the folded session keeps ingesting like
+    /// one that saw the merged prefix as a single batch.
     #[test]
-    fn detached_snapshots_merge_and_resume() {
+    fn merged_sessions_resume_ingest() {
         let output = small_output();
         let full = BlockchainLog::from_ledger(&output.ledger);
         let records = full.records();
-        let mid = records.len() / 2;
+        let (mid, rest) = (records.len() / 3, 2 * records.len() / 3);
         let mut reference = Analyzer::new().session().unwrap();
-        reference.ingest_log(full.clone()).unwrap();
+        reference.ingest_log(chunk_log(&records[..rest])).unwrap();
 
         let mut head = Analyzer::new().session().unwrap();
         head.ingest_log(chunk_log(&records[..mid])).unwrap();
         let mut tail = Analyzer::new().session().unwrap();
-        tail.ingest_log(chunk_log(&records[mid..])).unwrap();
+        tail.ingest_log(chunk_log(&records[mid..rest])).unwrap();
+        let head_before = merge_witness(&head);
 
-        let mut folded = head.detach();
-        folded.merge(tail.detach()).unwrap();
-        assert_eq!(folded.footprint(), reference.footprint());
-        assert_eq!(
-            format!("{:?}", folded.analysis().unwrap()),
-            format!("{:?}", reference.snapshot().unwrap())
-        );
-        // A snapshot turns back into a live session.
-        let resumed = folded.into_session();
-        assert_eq!(resumed.len(), reference.len());
-        assert_eq!(merge_witness(&resumed), merge_witness(&reference));
+        let mut folded = head.clone();
+        folded.merge(tail.clone()).unwrap();
+        assert_eq!(merge_witness(&folded), merge_witness(&reference));
+        assert_eq!(merge_witness(&head), head_before, "the clone was folded");
+        assert_eq!(tail.len(), rest - mid);
+
+        reference.ingest_log(chunk_log(&records[rest..])).unwrap();
+        folded.ingest_log(chunk_log(&records[rest..])).unwrap();
+        assert_eq!(folded.len(), records.len());
+        assert_eq!(merge_witness(&folded), merge_witness(&reference));
     }
 
     /// The footprint's byte estimate is deterministic arithmetic over the

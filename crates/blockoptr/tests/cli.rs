@@ -298,6 +298,41 @@ fn optimize_rejects_oversized_networks() {
     );
 }
 
+/// Generator sizes past the cap fail spec validation (exit 1) instead of
+/// aborting on allocation or generating for minutes — both from a spec file
+/// and from `--txs`.
+#[test]
+fn oversized_generators_are_rejected() {
+    let dir = std::env::temp_dir().join("blockoptr_cli_biggen");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("big.json");
+    let mut spec = workload::ScenarioSpec::builtin("scm").unwrap();
+    if let workload::WorkloadSpec::Scm(s) = &mut spec.workload {
+        s.products = 4_000_000_000;
+    }
+    std::fs::write(&path, spec.to_json()).unwrap();
+    for (args, field) in [
+        (
+            vec!["optimize", "--spec", path.to_str().unwrap()],
+            "scm.products",
+        ),
+        (
+            vec!["demo", "scm", "--txs", "4000000000"],
+            "scm.transactions",
+        ),
+    ] {
+        let out = blockoptr(&args);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {}", stderr(&out));
+        assert!(
+            stderr(&out).contains(&format!(
+                "bad spec parameter {field}: must be at most 10000000"
+            )),
+            "{args:?}: {}",
+            stderr(&out)
+        );
+    }
+}
+
 /// Malformed fault windows fail spec validation with the dotted field path
 /// (exit 1), before any simulation runs.
 #[test]

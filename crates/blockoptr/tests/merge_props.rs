@@ -6,8 +6,7 @@
 //! shards back together in *any* association order — the result must be
 //! byte-equal (snapshot, footprint, eviction counter) to one session that
 //! ingested the whole stream as a single batch. A fresh empty session is
-//! the identity element. The laws are exercised unbounded and windowed,
-//! and under both pool widths (`BLOCKOPTR_THREADS` — CI runs 1 and 4).
+//! the identity element. The laws are exercised unbounded and windowed.
 
 use blockoptr::log::{BlockchainLog, TxRecord};
 use blockoptr::session::{Analyzer, Session, WindowPolicy};
@@ -194,78 +193,4 @@ proptest! {
         right.merge(single_batch(policy, log)).expect("adoption merge");
         prop_assert_eq!(witness(&right), reference);
     }
-
-    /// Shard-split invariance across pool widths: shards ingested by
-    /// 1-thread and 4-thread sessions merge to the same bytes. (CI also
-    /// re-runs the whole suite under `BLOCKOPTR_THREADS` 1 and 4, which
-    /// covers the default-width path.)
-    #[test]
-    fn merge_is_thread_count_invariant(
-        log in arb_ledger(),
-        chunk in 4usize..25,
-        picks in prop::collection::vec(0usize..16, 1..12),
-    ) {
-        let policy = WindowPolicy::Unbounded;
-        let shard_with = |threads: usize| -> Vec<Session> {
-            log.records()
-                .chunks(chunk)
-                .map(|piece| {
-                    let mut s = Analyzer::new()
-                        .threads(threads)
-                        .window(policy)
-                        .session()
-                        .expect("fresh session");
-                    s.ingest_log(chunk_log(piece.to_vec())).expect("batch");
-                    s
-                })
-                .collect()
-        };
-        let narrow = fold_in_order(shard_with(1), &picks);
-        let wide = fold_in_order(shard_with(4), &picks);
-        prop_assert_eq!(witness(&narrow), witness(&wide));
-    }
-}
-
-/// Snapshot detachment composes with the monoid: detached snapshots of two
-/// shards merge to the same analysis as the merged sessions themselves.
-#[test]
-fn detached_snapshots_compose_like_sessions() {
-    let records: Vec<TxRecord> = (0..40)
-        .map(|i| TxRecord {
-            commit_index: i,
-            block: (i as u64) / 5 + 1,
-            client_ts: SimTime::from_millis(i as u64 * 100),
-            commit_ts: SimTime::from_millis(i as u64 * 100 + 1_000),
-            contract: "cc".into(),
-            activity: ["open", "work", "close"][i % 3].into(),
-            args: vec![Value::Str(format!("CASE{:03}", i % 4))],
-            endorsers: vec![PeerId {
-                org: OrgId(0),
-                index: 0,
-            }],
-            invoker: ClientId {
-                org: OrgId(0),
-                index: 0,
-            },
-            rwset: ReadWriteSet::new(),
-            status: TxStatus::Success,
-            tx_type: TxType::Read,
-        })
-        .collect();
-    let policy = WindowPolicy::Unbounded;
-    let full = single_batch(policy, chunk_log(records.clone()));
-
-    let (head, tail) = records.split_at(23);
-    let left = single_batch(policy, chunk_log(head.to_vec()));
-    let right = single_batch(policy, chunk_log(tail.to_vec()));
-    let mut snapshot = left.detach();
-    snapshot.merge(right.detach()).expect("snapshots merge");
-    assert_eq!(
-        format!("{:?}", snapshot.analysis().expect("analysis")),
-        format!("{:?}", full.snapshot().expect("analysis")),
-    );
-    assert_eq!(
-        format!("{:?}", snapshot.footprint()),
-        format!("{:?}", full.footprint()),
-    );
 }

@@ -5,8 +5,7 @@
 //! only ever saw the retained suffix — metrics, conflict list, hotkeys,
 //! recommendations, and (whenever the last ingest batch evicted, i.e. the
 //! steady state of a live run) the whole analysis byte-for-byte. Verified
-//! over random commit-ordered ledgers, arbitrary ingest batch splits, and
-//! both serial and sharded (4-thread) ingestion.
+//! over random commit-ordered ledgers and arbitrary ingest batch splits.
 
 use blockoptr::log::{BlockchainLog, TxRecord};
 use blockoptr::session::{Analyzer, Session, WindowPolicy};
@@ -239,25 +238,6 @@ proptest! {
         assert_window_equivalence(&session, policy, &log);
         assert_byte_equality(&session, policy, &log);
     }
-
-    /// Sharded (4-thread) windowed ingest is identical to the serial fold.
-    #[test]
-    fn sharded_windowed_ingest_matches_serial(
-        log in arb_ledger(),
-        n in 1usize..6,
-    ) {
-        let policy = WindowPolicy::LastBlocks(n);
-        let mut serial = Analyzer::new().threads(1).window(policy).session().unwrap();
-        serial.ingest_log(log.clone()).unwrap();
-        let mut sharded = Analyzer::new().threads(4).window(policy).session().unwrap();
-        sharded.ingest_log(log.clone()).unwrap();
-        prop_assert_eq!(serial.evicted(), sharded.evicted());
-        prop_assert_eq!(serial.footprint(), sharded.footprint());
-        prop_assert_eq!(
-            format!("{:?}", serial.snapshot().unwrap()),
-            format!("{:?}", sharded.snapshot().unwrap())
-        );
-    }
 }
 
 /// The incremental trace-eviction edge the ring design must get right:
@@ -404,7 +384,7 @@ fn footprint_bytes_stay_bounded_over_long_runs() {
 
 /// The suite-wide window policy (`BLOCKOPTR_WINDOW`, as CI sets it) holds
 /// the equivalence too, on a real simulated ledger — block-by-block like a
-/// monitoring loop, under whatever thread count `BLOCKOPTR_THREADS` says.
+/// monitoring loop.
 #[test]
 fn env_policy_holds_equivalence_on_simulated_ledger() {
     let policy = match WindowPolicy::from_env() {

@@ -79,9 +79,6 @@ pub struct WorkloadBundle {
     pub fault: FaultSpec,
     /// Client resilience policy (default: the legacy wait-forever client).
     pub retry: RetryPolicy,
-    /// Provenance: the declarative spec this bundle was built from (set by
-    /// [`crate::scenario::ScenarioSpec::build`], cleared by any rewrite).
-    pub(crate) source: Option<Arc<crate::scenario::ScenarioSpec>>,
 }
 
 impl WorkloadBundle {
@@ -98,7 +95,6 @@ impl WorkloadBundle {
             variants: VariantTable::default(),
             fault: FaultSpec::default(),
             retry: RetryPolicy::default(),
-            source: None,
         }
     }
 
@@ -193,19 +189,16 @@ impl WorkloadBundle {
 
     /// Replace the contract set (used when applying smart-contract-level
     /// optimizations: pruning, delta writes, partitioning, data-model
-    /// alteration — the workload schedule stays the same). Clears the
-    /// spec provenance: the rewritten bundle no longer matches its spec.
+    /// alteration — the workload schedule stays the same).
     pub fn with_contracts(mut self, contracts: Vec<Arc<dyn Contract>>) -> Self {
         self.contracts = contracts;
-        self.source = None;
         self
     }
 
     /// Replace the request schedule (used by workload-level optimizations:
-    /// activity reordering, rate control). Clears the spec provenance.
+    /// activity reordering, rate control).
     pub fn with_requests(mut self, requests: Vec<TxRequest>) -> Self {
         self.requests = requests;
-        self.source = None;
         self
     }
 

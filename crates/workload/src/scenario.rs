@@ -21,10 +21,9 @@
 //! * the **network** — the full [`NetworkConfig`].
 //!
 //! [`ScenarioSpec::build`] lowers a spec back to a ready-to-run
-//! `(WorkloadBundle, NetworkConfig)` pair; the bundle records the spec as
-//! its provenance ([`WorkloadBundle::spec`]), so `spec → bundle → spec` is
-//! the identity and a spec-rebuilt bundle simulates byte-identically to the
-//! generator-built one (test-enforced in `tests/scenario_roundtrip.rs`).
+//! `(WorkloadBundle, NetworkConfig)` pair, and a spec-rebuilt bundle
+//! simulates byte-identically to the generator-built one (test-enforced in
+//! `tests/scenario_roundtrip.rs`).
 //!
 //! Generation is **seed-parameterized**: [`ScenarioSpec::with_seed`]
 //! re-seeds both the generator and the network, so a multi-seed measurement
@@ -43,7 +42,6 @@ use sim_core::rng::SimRng;
 use sim_core::time::{SimDuration, SimTime};
 use std::collections::BTreeSet;
 use std::fmt;
-use std::sync::Arc;
 
 /// Why a spec could not be validated or built. Every failure mode of the
 /// declarative layer is typed — malformed user JSON must surface as an
@@ -435,6 +433,12 @@ fn check_min(field: &str, value: usize, min: usize) -> Result<(), SpecError> {
 /// (`OrgId`, `PeerId.index`, `ClientId.index`) are `u16`.
 const MAX_IDS: usize = 1 << 16;
 
+/// The most transactions, products, patients, … any one generator size may
+/// request: 1 000× the paper's 10 000-transaction default. Far beyond it
+/// a generator aborts on allocation or runs silently for minutes instead
+/// of failing validation.
+const MAX_GENERATED: usize = 10_000_000;
+
 /// A count must be at most `max`.
 fn check_max(field: &str, value: usize, max: usize) -> Result<(), SpecError> {
     if value <= max {
@@ -535,6 +539,7 @@ impl ScenarioSpec {
             WorkloadSpec::Synthetic(cv) => {
                 check_rate("synthetic.send_rate", cv.send_rate)?;
                 check_min("synthetic.transactions", cv.transactions, 1)?;
+                check_max("synthetic.transactions", cv.transactions, MAX_GENERATED)?;
                 check_min("synthetic.orgs", cv.orgs, 1)?;
                 check_max("synthetic.orgs", cv.orgs, MAX_IDS)?;
                 check_min("synthetic.block_count", cv.block_count, 1)?;
@@ -549,9 +554,13 @@ impl ScenarioSpec {
             WorkloadSpec::Scm(s) => {
                 check_rate("scm.send_rate", s.send_rate)?;
                 check_min("scm.transactions", s.transactions, 1)?;
+                check_max("scm.transactions", s.transactions, MAX_GENERATED)?;
                 check_min("scm.products", s.products, 1)?;
+                check_max("scm.products", s.products, MAX_GENERATED)?;
                 check_min("scm.audits", s.audits, 1)?;
+                check_max("scm.audits", s.audits, MAX_GENERATED)?;
                 check_min("scm.batch", s.batch, 1)?;
+                check_max("scm.batch", s.batch, MAX_GENERATED)?;
                 check_min("scm.orgs", s.orgs, 1)?;
                 check_max("scm.orgs", s.orgs, MAX_IDS)?;
                 check_share("scm.query_share", s.query_share)?;
@@ -567,7 +576,9 @@ impl ScenarioSpec {
             WorkloadSpec::Drm(s) => {
                 check_rate("drm.send_rate", s.send_rate)?;
                 check_min("drm.transactions", s.transactions, 1)?;
+                check_max("drm.transactions", s.transactions, MAX_GENERATED)?;
                 check_min("drm.catalogue", s.catalogue, 1)?;
+                check_max("drm.catalogue", s.catalogue, MAX_GENERATED)?;
                 check_min("drm.orgs", s.orgs, 1)?;
                 check_max("drm.orgs", s.orgs, MAX_IDS)?;
                 check_share("drm.play_share", s.play_share)?;
@@ -578,8 +589,11 @@ impl ScenarioSpec {
             WorkloadSpec::Ehr(s) => {
                 check_rate("ehr.send_rate", s.send_rate)?;
                 check_min("ehr.transactions", s.transactions, 1)?;
+                check_max("ehr.transactions", s.transactions, MAX_GENERATED)?;
                 check_min("ehr.patients", s.patients, 1)?;
+                check_max("ehr.patients", s.patients, MAX_GENERATED)?;
                 check_min("ehr.institutes", s.institutes, 1)?;
+                check_max("ehr.institutes", s.institutes, MAX_GENERATED)?;
                 check_min("ehr.orgs", s.orgs, 1)?;
                 check_max("ehr.orgs", s.orgs, MAX_IDS)?;
                 check_share("ehr.update_share", s.update_share)?;
@@ -589,15 +603,20 @@ impl ScenarioSpec {
                 check_rate("dv.query_rate", s.query_rate)?;
                 check_rate("dv.vote_rate", s.vote_rate)?;
                 check_min("dv.parties", s.parties, 1)?;
+                check_max("dv.parties", s.parties, MAX_GENERATED)?;
                 check_min("dv.queries", s.queries, 1)?;
+                check_max("dv.queries", s.queries, MAX_GENERATED)?;
                 check_min("dv.votes", s.votes, 1)?;
+                check_max("dv.votes", s.votes, MAX_GENERATED)?;
                 check_min("dv.orgs", s.orgs, 1)?;
                 check_max("dv.orgs", s.orgs, MAX_IDS)?;
             }
             WorkloadSpec::Lap(s) => {
                 check_rate("lap.send_rate", s.send_rate)?;
                 check_min("lap.applications", s.applications, 1)?;
+                check_max("lap.applications", s.applications, MAX_GENERATED)?;
                 check_min("lap.employees", s.employees, 2)?;
+                check_max("lap.employees", s.employees, MAX_GENERATED)?;
                 check_min("lap.orgs", s.orgs, 1)?;
                 check_max("lap.orgs", s.orgs, MAX_IDS)?;
                 check_share("lap.hot_employee_share", s.hot_employee_share)?;
@@ -834,7 +853,7 @@ impl ScenarioSpec {
 
     /// Lower the spec to a ready-to-run `(bundle, config)` pair: validate,
     /// generate (or replay), resolve variants, apply transforms, and attach
-    /// the spec to the bundle as provenance.
+    /// the spec's run conditions (fault plan, retry policy).
     pub fn build(&self) -> Result<(WorkloadBundle, NetworkConfig), SpecError> {
         self.validate()?;
         let mut bundle = match &self.workload {
@@ -873,7 +892,7 @@ impl ScenarioSpec {
         }
         bundle.fault = self.fault.clone();
         bundle.retry = self.retry.clone();
-        Ok((bundle.with_spec(self.clone()), self.network.clone()))
+        Ok((bundle, self.network.clone()))
     }
 
     /// The registry ids of the contract set [`build`](Self::build)
@@ -963,22 +982,6 @@ pub fn freeze(
     })
 }
 
-/// Internal hook for [`ScenarioSpec::build`]: attach provenance.
-impl WorkloadBundle {
-    pub(crate) fn with_spec(mut self, spec: ScenarioSpec) -> WorkloadBundle {
-        self.source = Some(Arc::new(spec));
-        self
-    }
-
-    /// The spec this bundle was built from, when it came through
-    /// [`ScenarioSpec::build`]. Rewriting the bundle (`with_requests`,
-    /// `with_contracts`) clears the provenance — a diverged bundle no
-    /// longer speaks for its spec.
-    pub fn spec(&self) -> Option<&ScenarioSpec> {
-        self.source.as_deref()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1056,15 +1059,12 @@ mod tests {
         }
     }
 
+    /// `build` hands back the spec's own network beside the bundle.
     #[test]
     fn build_attaches_provenance() {
         let spec = ScenarioSpec::builtin("dv").unwrap();
-        let (bundle, config) = spec.build().unwrap();
-        assert_eq!(bundle.spec(), Some(&spec));
+        let (_bundle, config) = spec.build().unwrap();
         assert_eq!(config, spec.network);
-        // Divergence clears it.
-        let rewritten = bundle.clone().with_requests(bundle.requests[..5].to_vec());
-        assert!(rewritten.spec().is_none());
     }
 
     #[test]
@@ -1172,6 +1172,65 @@ mod tests {
                 assert!(message.contains("does not exist"), "{message}");
             }
             other => panic!("{other:?}"),
+        }
+    }
+
+    /// Every generator size is capped, so an oversized spec is a typed
+    /// error naming the field instead of an allocation abort or a run
+    /// that never ends.
+    #[test]
+    fn generator_sizes_are_bounded() {
+        let field_of = |spec: &ScenarioSpec| match spec.validate().unwrap_err() {
+            SpecError::BadParameter { field, message } => {
+                assert!(message.contains("at most 10000000"), "{message}");
+                field
+            }
+            other => panic!("{other:?}"),
+        };
+        ScenarioSpec::builtin("scm")
+            .unwrap()
+            .with_transactions(MAX_GENERATED)
+            .validate()
+            .expect("the cap itself is allowed");
+        for field in [
+            "synthetic.transactions",
+            "scm.transactions",
+            "scm.products",
+            "scm.audits",
+            "scm.batch",
+            "drm.transactions",
+            "drm.catalogue",
+            "ehr.transactions",
+            "ehr.patients",
+            "ehr.institutes",
+            "dv.parties",
+            "dv.queries",
+            "dv.votes",
+            "lap.applications",
+            "lap.employees",
+        ] {
+            let scenario = field.split('.').next().unwrap();
+            let mut spec = ScenarioSpec::builtin(scenario).unwrap();
+            let size = match (&mut spec.workload, field) {
+                (WorkloadSpec::Synthetic(s), "synthetic.transactions") => &mut s.transactions,
+                (WorkloadSpec::Scm(s), "scm.transactions") => &mut s.transactions,
+                (WorkloadSpec::Scm(s), "scm.products") => &mut s.products,
+                (WorkloadSpec::Scm(s), "scm.audits") => &mut s.audits,
+                (WorkloadSpec::Scm(s), "scm.batch") => &mut s.batch,
+                (WorkloadSpec::Drm(s), "drm.transactions") => &mut s.transactions,
+                (WorkloadSpec::Drm(s), "drm.catalogue") => &mut s.catalogue,
+                (WorkloadSpec::Ehr(s), "ehr.transactions") => &mut s.transactions,
+                (WorkloadSpec::Ehr(s), "ehr.patients") => &mut s.patients,
+                (WorkloadSpec::Ehr(s), "ehr.institutes") => &mut s.institutes,
+                (WorkloadSpec::Dv(s), "dv.parties") => &mut s.parties,
+                (WorkloadSpec::Dv(s), "dv.queries") => &mut s.queries,
+                (WorkloadSpec::Dv(s), "dv.votes") => &mut s.votes,
+                (WorkloadSpec::Lap(s), "lap.applications") => &mut s.applications,
+                (WorkloadSpec::Lap(s), "lap.employees") => &mut s.employees,
+                _ => unreachable!("{field}"),
+            };
+            *size = MAX_GENERATED + 1;
+            assert_eq!(field_of(&spec), field);
         }
     }
 

@@ -1,8 +1,8 @@
 //! The declarative-scenario guarantees, test-enforced (ISSUE 5 acceptance
 //! criteria):
 //!
-//! 1. **spec → bundle → spec is the identity** — a bundle built by
-//!    [`ScenarioSpec::build`] carries the very spec as provenance;
+//! 1. **a spec survives its own lowering** — [`ScenarioSpec::build`]
+//!    returns the spec's network, and spec → JSON → spec is the identity;
 //! 2. **a spec-rebuilt bundle simulates byte-identically** to the
 //!    imperatively generator-built one, for every built-in scenario and
 //!    several seeds (report *and* extracted log compared verbatim);
@@ -99,14 +99,11 @@ fn spec_for(name: &str, txs: usize, seed: u64) -> ScenarioSpec {
 fn spec_to_bundle_to_spec_is_identity() {
     for name in BUILTIN_NAMES {
         let spec = spec_for(name, TXS, 42);
-        let (bundle, config) = spec.build().unwrap();
-        assert_eq!(bundle.spec(), Some(&spec), "{name}: provenance");
+        let (_bundle, config) = spec.build().unwrap();
         assert_eq!(config, spec.network, "{name}: network");
-        // …and through JSON: the serialized provenance re-parses equal.
+        // …and through JSON: the serialized spec re-parses equal.
         let back = ScenarioSpec::from_json(&spec.to_json()).unwrap();
         assert_eq!(back, spec, "{name}: JSON round trip");
-        let (rebuilt, _) = back.build().unwrap();
-        assert_eq!(rebuilt.spec(), Some(&spec), "{name}: rebuilt provenance");
     }
 }
 
@@ -220,8 +217,7 @@ fn spec_driven_plan_emits_a_buildable_optimized_spec() {
         !optimized.transforms.is_empty() || !optimized.variants.is_empty(),
         "the plan lowered something declarative"
     );
-    let (tuned_bundle, tuned_config) = optimized.build().unwrap();
-    assert_eq!(tuned_bundle.spec(), Some(optimized));
+    let (_tuned_bundle, tuned_config) = optimized.build().unwrap();
     assert_eq!(tuned_config, optimized.network);
 
     // Multi-seed workload variance is real: the two baseline seeds saw
